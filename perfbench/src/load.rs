@@ -38,6 +38,9 @@ pub const SLICE: Duration = Duration::from_millis(500);
 pub struct Sample {
     /// The slice it completed in.
     pub slice: usize,
+    /// When it started, seconds after the window opened (negative
+    /// during warm-up).
+    pub start_s: f64,
     /// Client-side latency, ms.
     pub latency_ms: f64,
     /// Queries it carried.
@@ -75,8 +78,11 @@ pub struct Measured {
 impl LoopResult {
     /// Figures over the `keep` slices with the least stolen time, `qps`
     /// being the median of their per-slice rates; with `None`, over the
-    /// whole window, `qps` being its overall rate (for requests that
-    /// outlast a slice).
+    /// whole window, `qps` being its overall rate. Requests that outlast
+    /// a slice are counted with `None`: their queries are then credited
+    /// to the window in proportion to the share of each request that
+    /// fell inside it, so no run gains or loses a whole batch at the
+    /// window's edges.
     #[must_use]
     pub fn measure(&self, keep: Option<usize>) -> Measured {
         let kept = quietest(&self.steal, keep.unwrap_or(self.steal.len()));
@@ -103,7 +109,7 @@ impl LoopResult {
             / rates.len().max(1) as f64;
         let qps = match keep {
             Some(_) => median(&rates),
-            None => queries as f64 / (rates.len().max(1) as f64 * SLICE.as_secs_f64()),
+            None => self.work_in_window() / (self.steal.len().max(1) as f64 * SLICE.as_secs_f64()),
         };
         Measured {
             qps,
@@ -112,6 +118,20 @@ impl LoopResult {
             slices: rates.len(),
             steal,
         }
+    }
+
+    /// Queries done inside the window, crediting each request's queries
+    /// in proportion to the part of its span inside the window.
+    fn work_in_window(&self) -> f64 {
+        let window = self.steal.len() as f64 * SLICE.as_secs_f64();
+        self.samples
+            .iter()
+            .map(|s| {
+                let span = s.latency_ms / 1e3;
+                let inside = (s.start_s + span).min(window) - s.start_s.max(0.0);
+                f64::from(s.queries) * (inside / span.max(1e-9)).clamp(0.0, 1.0)
+            })
+            .sum()
     }
 }
 
@@ -224,6 +244,11 @@ pub fn closed_loop(
                             out.samples.push(Sample {
                                 slice: ((done - window_start).as_nanos() / SLICE.as_nanos())
                                     as usize,
+                                start_s: if start >= window_start {
+                                    (start - window_start).as_secs_f64()
+                                } else {
+                                    -(window_start - start).as_secs_f64()
+                                },
                                 latency_ms: (done - start).as_secs_f64() * 1e3,
                                 queries: req.queries,
                             });
@@ -372,6 +397,7 @@ mod tests {
     fn measure_counts_kept_slices_only() {
         let sample = |slice, latency_ms| Sample {
             slice,
+            start_s: 0.0,
             latency_ms,
             queries: 4,
         };
@@ -397,5 +423,20 @@ mod tests {
         let all = run.measure(None);
         assert_eq!(all.latencies_ms.len(), 4);
         assert!((all.qps - 16.0 / (3.0 * slice_s)).abs() < 1e-9);
+
+        // A request that started before the window counts only for the
+        // part of it inside the window.
+        let straddling = LoopResult {
+            samples: vec![Sample {
+                slice: 0,
+                start_s: -slice_s,
+                latency_ms: 2.0 * slice_s * 1e3,
+                queries: 4,
+            }],
+            steal: vec![Some(0.0), Some(0.0)],
+            outcomes: Outcomes::default(),
+            observed: Observed::default(),
+        };
+        assert!((straddling.measure(None).qps - 2.0 / (2.0 * slice_s)).abs() < 1e-9);
     }
 }
