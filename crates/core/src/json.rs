@@ -2,9 +2,12 @@
 //! speaks JSON: sketch persistence ([`crate::persist`]), the CLI's
 //! machine-readable reports, and the `sketch-server` HTTP service.
 //!
-//! Reading is a recursive-descent parser into a borrowed-friendly
-//! [`Value`] tree; numbers keep their raw text so `u64` identifiers and
-//! counters survive without a round-trip through `f64`. Writing is a
+//! Reading comes in two shapes over one grammar: [`parse`], a
+//! recursive-descent parser into a [`Value`] tree (numbers keep their
+//! raw text so `u64` identifiers and counters survive without a
+//! round-trip through `f64`), and [`Reader`], a pull reader that walks a
+//! document without building one — what the server's request path uses
+//! to hash query keys as they are read. Writing is a
 //! pair of append helpers ([`push_string`], [`push_f64`]) chosen so that
 //! the output of a given value is deterministic byte for byte — the
 //! property the server's response cache and the store equivalence tests
@@ -169,18 +172,10 @@ impl<'a> Obj<'a> {
 ///
 /// A human-readable description of the first malformed byte.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
+    let mut cur = Cursor::new(text);
+    let value = cur.value(&mut String::new())?;
+    cur.end()?;
+    Ok(value)
 }
 
 /// Maximum container nesting. The parser is recursive-descent, so
@@ -189,17 +184,224 @@ pub fn parse(text: &str) -> Result<Value, String> {
 /// document this workspace exchanges.
 const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document: the caller walks objects field
+/// by field and arrays element by element and takes each scalar through
+/// a typed accessor, so no [`Value`] tree is built. A string without
+/// escapes is handed out borrowed from the document; one with escapes
+/// is decoded into a single scratch buffer the reader reuses.
+///
+/// The grammar, escape rules, number token rule and nesting limit are
+/// [`parse`]'s own (both run on the same cursor), and
+/// [`Reader::skip_value`] checks a skipped value with `parse` itself —
+/// so a document the reader walks to [`Reader::finish`] is one `parse`
+/// accepts.
+pub struct Reader<'a> {
+    cur: Cursor<'a>,
+    scratch: String,
+    /// Just past an opening bracket: the next member needs no `,`.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned at the document's first value.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            cur: Cursor::new(text),
+            scratch: String::new(),
+            fresh: false,
+        }
+    }
+
+    /// Enter an object; `what` names it in a type error.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an object, or nesting is too deep.
+    pub fn begin_object(&mut self, what: &str) -> Result<(), String> {
+        self.check(Kind::Object, what, "object")?;
+        self.cur.enter()?;
+        self.cur.expect(b'{')?;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// The next field name of the object being walked (its `:`
+    /// consumed; the caller then reads or skips the value), or `None`
+    /// once the closing `}` is consumed.
+    ///
+    /// # Errors
+    ///
+    /// A malformed separator or field name.
+    pub fn next_field(&mut self) -> Result<Option<&str>, String> {
+        if !self.next_member(b'}')? {
+            return Ok(None);
+        }
+        let name = self.cur.string(&mut self.scratch)?;
+        self.cur.skip_ws();
+        self.cur.expect(b':')?;
+        Ok(Some(name))
+    }
+
+    /// Enter an array; `what` names it in a type error.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an array, or nesting is too deep.
+    pub fn begin_array(&mut self, what: &str) -> Result<(), String> {
+        self.check(Kind::Array, what, "array")?;
+        self.cur.enter()?;
+        self.cur.expect(b'[')?;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Whether another element of the array being walked follows (the
+    /// caller then reads or skips it); `false` once the closing `]` is
+    /// consumed.
+    ///
+    /// # Errors
+    ///
+    /// A malformed separator.
+    pub fn next_element(&mut self) -> Result<bool, String> {
+        self.next_member(b']')
+    }
+
+    /// A string value, escapes resolved.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a well-formed string.
+    pub fn string(&mut self, what: &str) -> Result<&str, String> {
+        self.check(Kind::String, what, "string")?;
+        self.cur.string(&mut self.scratch)
+    }
+
+    /// A number value parsed as `u64` (as [`Value::as_u64`]).
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an unsigned integer.
+    pub fn u64(&mut self, what: &str) -> Result<u64, String> {
+        self.check(Kind::Number, what, "integer")?;
+        self.cur
+            .number()?
+            .parse()
+            .map_err(|e| format!("{what}: {e}"))
+    }
+
+    /// A number value parsed as `f64` (as [`Value::as_f64`]).
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a number.
+    pub fn f64(&mut self, what: &str) -> Result<f64, String> {
+        self.check(Kind::Number, what, "number")?;
+        self.cur
+            .number()?
+            .parse()
+            .map_err(|e| format!("{what}: {e}"))
+    }
+
+    /// A `true` / `false` value.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a bool.
+    pub fn bool(&mut self, what: &str) -> Result<bool, String> {
+        self.check(Kind::Bool, what, "bool")?;
+        Ok(self.cur.boolean())
+    }
+
+    /// Read past one value of any kind, checked exactly as [`parse`]
+    /// checks it.
+    ///
+    /// # Errors
+    ///
+    /// The value is malformed or nested too deeply.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        self.cur.skip_ws();
+        self.cur.value(&mut self.scratch).map(drop)
+    }
+
+    /// Accept the end of the document: nothing but whitespace may
+    /// follow the value walked.
+    ///
+    /// # Errors
+    ///
+    /// Trailing bytes.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.cur.end()
+    }
+
+    /// Step to the next member of the container being walked, or leave
+    /// it at its `close` byte (returning `false`).
+    fn next_member(&mut self, close: u8) -> Result<bool, String> {
+        let first = std::mem::take(&mut self.fresh);
+        self.cur.skip_ws();
+        if self.cur.peek() == Some(close) {
+            self.cur.pos += 1;
+            self.cur.depth = self.cur.depth.saturating_sub(1);
+            return Ok(false);
+        }
+        if !first {
+            if self.cur.peek() != Some(b',') {
+                let close = if close == b'}' { '}' } else { ']' };
+                return Err(format!(
+                    "expected ',' or '{close}' at offset {}",
+                    self.cur.pos
+                ));
+            }
+            self.cur.pos += 1;
+            self.cur.skip_ws();
+        }
+        Ok(true)
+    }
+
+    /// Check the next value's kind: a type error names `what` and the
+    /// `expected` noun, as the [`Value`] accessors do.
+    fn check(&mut self, kind: Kind, what: &str, expected: &str) -> Result<(), String> {
+        self.cur.skip_ws();
+        match self.cur.kind() {
+            Some(k) if k == kind => Ok(()),
+            Some(_) => Err(format!("{what}: expected {expected}")),
+            None => Err(self.cur.unexpected()),
+        }
+    }
+}
+
+/// A value's kind, told from its first bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    Bool,
+    Number,
+    String,
+    Array,
+    Object,
+}
+
+/// Position in a document, shared by the tree parser and [`Reader`].
+struct Cursor<'a> {
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Self {
+        let mut cur = Self {
+            text,
+            pos: 0,
+            depth: 0,
+        };
+        cur.skip_ws();
+        cur
+    }
+
     fn skip_ws(&mut self) {
         while self
-            .bytes
-            .get(self.pos)
+            .peek()
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
             self.pos += 1;
@@ -207,7 +409,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -215,33 +417,93 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
+            Err(format!(
+                "expected '{}' at offset {}",
+                char::from(b),
+                self.pos
+            ))
         }
+    }
+
+    fn starts_with(&self, word: &str) -> bool {
+        self.text
+            .as_bytes()
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(word.as_bytes()))
     }
 
     fn literal(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let found = self.starts_with(word);
+        if found {
             self.pos += word.len();
-            true
+        }
+        found
+    }
+
+    /// Consume the `true` or `false` that [`Self::kind`] found here.
+    fn boolean(&mut self) -> bool {
+        let value = self.literal("true");
+        if !value {
+            self.literal("false");
+        }
+        value
+    }
+
+    fn unexpected(&self) -> String {
+        format!("unexpected byte at offset {}", self.pos)
+    }
+
+    /// The kind of the value starting here; `None` where [`Self::value`]
+    /// would fail on the first byte.
+    fn kind(&self) -> Option<Kind> {
+        match self.peek()? {
+            b'n' if self.starts_with("null") => Some(Kind::Null),
+            b't' if self.starts_with("true") => Some(Kind::Bool),
+            b'f' if self.starts_with("false") => Some(Kind::Bool),
+            b'"' => Some(Kind::String),
+            b'[' => Some(Kind::Array),
+            b'{' => Some(Kind::Object),
+            b'-' | b'0'..=b'9' => Some(Kind::Number),
+            _ => None,
+        }
+    }
+
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
         } else {
-            false
+            Err(format!("trailing bytes at offset {}", self.pos))
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'n') if self.literal("null") => Ok(Value::Null),
-            Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
+    /// Count one more level of nesting, failing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        Ok(())
+    }
+
+    fn value(&mut self, scratch: &mut String) -> Result<Value, String> {
+        match self.kind() {
+            Some(Kind::Null) if self.literal("null") => Ok(Value::Null),
+            Some(Kind::Bool) => Ok(Value::Bool(self.boolean())),
+            Some(Kind::String) => self.string(scratch).map(|s| Value::Str(s.to_owned())),
+            Some(Kind::Array) => self.nested(scratch, Self::array),
+            Some(Kind::Object) => self.nested(scratch, Self::object),
+            Some(Kind::Number) => self.number().map(|raw| Value::Num(raw.to_owned())),
+            _ => Err(self.unexpected()),
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    /// The number token starting here: a run of digits and `.eE+-`,
+    /// checked by whoever parses it.
+    fn number(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -252,98 +514,121 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number bytes");
-        if raw.is_empty() || raw == "-" {
-            return Err(format!("malformed number at offset {start}"));
+        match self.text.get(start..self.pos) {
+            Some(raw) if !raw.is_empty() && raw != "-" => Ok(raw),
+            _ => Err(format!("malformed number at offset {start}")),
         }
-        Ok(Value::Num(raw.to_string()))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// The string starting here: borrowed from the document when it has
+    /// no escapes, otherwise decoded into `scratch`.
+    fn string<'s>(&mut self, scratch: &'s mut String) -> Result<&'s str, String>
+    where
+        'a: 's,
+    {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut start = self.pos;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            let s = self.run(start)?;
+            self.pos += 1;
+            return Ok(s);
+        }
+        scratch.clear();
         loop {
-            let start = self.pos;
-            // Fast path: copy the maximal escape-free run in one go.
-            while self
-                .peek()
-                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
-            {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| format!("invalid utf-8 in string: {e}"))?,
-            );
+            scratch.push_str(self.run(start)?);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(scratch.as_str());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
+                    let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            let ch = if (0xd800..0xdc00).contains(&cp) {
-                                // Surrogate pair.
-                                if !self.literal("\\u") {
-                                    return Err("lone high surrogate".into());
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err("bad low surrogate".into());
-                                }
-                                let c = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(c)
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(ch.ok_or_else(|| "bad \\u escape".to_string())?);
-                        }
-                        other => return Err(format!("unknown escape '\\{}'", other as char)),
-                    }
+                    scratch.push(self.escape(esc)?);
                 }
                 _ => return Err("unterminated string".into()),
             }
+            start = self.pos;
+            self.skip_plain();
         }
     }
 
+    /// Step over an escape-free run of string bytes.
+    fn skip_plain(&mut self) {
+        while self
+            .peek()
+            .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+        {
+            self.pos += 1;
+        }
+    }
+
+    /// The text from `start` to here. Both ends sit on ASCII bytes (or
+    /// the end of the text), so they are char boundaries of the valid
+    /// UTF-8 document.
+    fn run(&self, start: usize) -> Result<&'a str, String> {
+        self.text
+            .get(start..self.pos)
+            .ok_or_else(|| "invalid utf-8 in string".to_string())
+    }
+
+    /// Decode the escape whose letter `esc` was just consumed.
+    fn escape(&mut self, esc: u8) -> Result<char, String> {
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let cp = self.hex4()?;
+                let ch = if (0xd800..0xdc00).contains(&cp) {
+                    // Surrogate pair.
+                    if !self.literal("\\u") {
+                        return Err("lone high surrogate".into());
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xdc00..0xe000).contains(&lo) {
+                        return Err("bad low surrogate".into());
+                    }
+                    char::from_u32(0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00))
+                } else {
+                    char::from_u32(cp)
+                };
+                ch.ok_or("bad \\u escape")?
+            }
+            other => return Err(format!("unknown escape '\\{}'", char::from(other))),
+        })
+    }
+
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos.checked_add(4).filter(|&e| e <= self.bytes.len());
-        let end = end.ok_or_else(|| "truncated \\u escape".to_string())?;
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "bad \\u escape".to_string())?;
+        let end = self
+            .pos
+            .checked_add(4)
+            .filter(|&e| e <= self.text.len())
+            .ok_or("truncated \\u escape")?;
+        let hex = self.text.get(self.pos..end).ok_or("bad \\u escape")?;
         self.pos = end;
         u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u escape: {e}"))
     }
 
-    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_DEPTH} at offset {}",
-                self.pos
-            ));
-        }
-        let v = f(self)?;
+    fn nested(
+        &mut self,
+        scratch: &mut String,
+        f: fn(&mut Self, &mut String) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        self.enter()?;
+        let v = f(self, scratch)?;
         self.depth -= 1;
         Ok(v)
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, scratch: &mut String) -> Result<Value, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -353,7 +638,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(scratch)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -366,7 +651,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, scratch: &mut String) -> Result<Value, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -376,11 +661,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string(scratch)?.to_owned();
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(scratch)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -460,6 +745,97 @@ mod tests {
             push_f64(&mut out, v);
             let back: f64 = out.parse().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{out}");
+        }
+    }
+
+    #[test]
+    fn reader_walks_fields_and_arrays() {
+        let text = r#" {"id":"q\"1","keys":["a","b\u00e9",""],"n":[1,-2.5e1],
+                        "deep":{"x":[{}]},"t":true,"f":false} "#;
+        let mut r = Reader::new(text);
+        r.begin_object("root").unwrap();
+        assert_eq!(r.next_field().unwrap(), Some("id"));
+        assert_eq!(r.string("id").unwrap(), "q\"1");
+        assert_eq!(r.next_field().unwrap(), Some("keys"));
+        r.begin_array("keys").unwrap();
+        let mut keys = Vec::new();
+        while r.next_element().unwrap() {
+            keys.push(r.string("keys[]").unwrap().to_string());
+        }
+        assert_eq!(keys, ["a", "b\u{e9}", ""]);
+        assert_eq!(r.next_field().unwrap(), Some("n"));
+        r.begin_array("n").unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.u64("n[0]").unwrap(), 1);
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.f64("n[1]").unwrap(), -25.0);
+        assert!(!r.next_element().unwrap());
+        assert_eq!(r.next_field().unwrap(), Some("deep"));
+        r.skip_value().unwrap();
+        assert_eq!(r.next_field().unwrap(), Some("t"));
+        assert!(r.bool("t").unwrap());
+        assert_eq!(r.next_field().unwrap(), Some("f"));
+        assert!(!r.bool("f").unwrap());
+        assert_eq!(r.next_field().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn reader_type_and_syntax_errors() {
+        let mut r = Reader::new("[1,2]");
+        assert_eq!(
+            r.begin_object("request").unwrap_err(),
+            "request: expected object"
+        );
+        let mut r = Reader::new("nope");
+        assert!(r
+            .begin_object("request")
+            .unwrap_err()
+            .contains("unexpected"));
+        let mut r = Reader::new(r#"{"a":1 "b":2}"#);
+        r.begin_object("o").unwrap();
+        r.next_field().unwrap();
+        r.skip_value().unwrap();
+        assert!(r.next_field().unwrap_err().contains("expected ','"));
+        let mut r = Reader::new("[1,]");
+        r.begin_array("a").unwrap();
+        assert!(r.next_element().unwrap());
+        r.u64("a[]").unwrap();
+        assert!(r.next_element().unwrap());
+        assert!(r.u64("a[]").unwrap_err().contains("unexpected"));
+        let mut r = Reader::new(r#"["x", 1.5, null]"#);
+        r.begin_array("a").unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.f64("v").unwrap_err(), "v: expected number");
+        r.skip_value().unwrap();
+        assert!(r.next_element().unwrap());
+        assert!(r.u64("k").unwrap_err().starts_with("k: "));
+        let mut r = Reader::new("{} x");
+        r.begin_object("o").unwrap();
+        assert_eq!(r.next_field().unwrap(), None);
+        assert!(r.finish().unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn reader_skip_applies_the_nesting_limit() {
+        // One level for the outer object, so MAX_DEPTH - 1 inside fits.
+        let fits = format!(
+            "{{\"x\":{}{}}}",
+            "[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
+        let over = format!(
+            "{{\"x\":{}{}}}",
+            "[".repeat(MAX_DEPTH),
+            "]".repeat(MAX_DEPTH)
+        );
+        for (text, ok) in [(fits, true), (over, false)] {
+            assert_eq!(parse(&text).is_ok(), ok);
+            let mut r = Reader::new(&text);
+            r.begin_object("o").unwrap();
+            r.next_field().unwrap();
+            let skipped = r.skip_value();
+            assert_eq!(skipped.is_ok(), ok, "{skipped:?}");
         }
     }
 

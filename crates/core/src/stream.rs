@@ -22,7 +22,8 @@ use crate::sketch::{CorrelationSketch, SketchEntry};
 /// Each retained key's unit hash is stored next to its aggregation state,
 /// so [`StreamingSketchBuilder::finish`] never rehashes retained keys —
 /// `g(k)` is computed exactly once per pushed row, in
-/// [`StreamingSketchBuilder::push`].
+/// [`StreamingSketchBuilder::push`] (or by the caller of
+/// [`StreamingSketchBuilder::push_hashed`]).
 #[derive(Debug, Clone)]
 pub struct StreamingSketchBuilder {
     id: String,
@@ -77,12 +78,20 @@ impl StreamingSketchBuilder {
 
     /// Feed one `(key, value)` row.
     pub fn push(&mut self, key: &str, value: f64) {
+        let (kh, unit) = self.config.hasher.g(key.as_bytes());
+        self.push_hashed(kh, unit, value);
+    }
+
+    /// Feed one row whose key was already hashed: `(kh, unit)` must be
+    /// `g(key)` under this builder's hasher. [`Self::push`] is exactly
+    /// this after hashing, so a caller that hashes keys as it reads them
+    /// builds the same sketch.
+    pub fn push_hashed(&mut self, kh: KeyHash, unit: f64, value: f64) {
         self.rows_scanned += 1;
         self.bounds_min = self.bounds_min.min(value);
         self.bounds_max = self.bounds_max.max(value);
 
         let agg = self.config.aggregation;
-        let (kh, unit) = self.config.hasher.g(key.as_bytes());
         match self.config.strategy {
             SelectionStrategy::FixedSize(n) => match self.members.entry(kh) {
                 Entry::Occupied(mut e) => e.get_mut().1.update(value),
@@ -176,6 +185,24 @@ mod tests {
         }
         assert_eq!(s.rows_scanned(), 3_000);
         assert_eq!(s.finish(), batch);
+    }
+
+    #[test]
+    fn push_hashed_equals_push() {
+        let p = pair(1_500);
+        for cfg in [
+            SketchConfig::with_size(32),
+            SketchConfig::with_threshold(0.1),
+        ] {
+            let mut by_key = StreamingSketchBuilder::new(p.id(), cfg);
+            let mut by_hash = StreamingSketchBuilder::new(p.id(), cfg);
+            for (k, v) in p.rows() {
+                by_key.push(k, v);
+                let (kh, unit) = cfg.hasher.g(k.as_bytes());
+                by_hash.push_hashed(kh, unit, v);
+            }
+            assert_eq!(by_key.finish(), by_hash.finish());
+        }
     }
 
     #[test]

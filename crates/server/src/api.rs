@@ -10,9 +10,11 @@
 //!
 //! [`engine::top_k_with_reports`]: sketch_index::engine::top_k_with_reports
 
-use correlation_sketches::json::{self, push_f64, push_string};
-use correlation_sketches::EstimateReport;
-use sketch_hashing::murmur3_x64_128;
+use correlation_sketches::json::{self, push_f64, push_string, Reader};
+use correlation_sketches::{
+    CorrelationSketch, EstimateReport, SketchConfig, StreamingSketchBuilder,
+};
+use sketch_hashing::{murmur3_x64_128, KeyHash, KeyHasher};
 use sketch_index::{DocId, PlanMode, QueryOptions, ReportedResult, Scorer, ShardCandidate};
 use sketch_stats::{ConfidenceInterval, CorrelationEstimator, ScoredEstimate};
 
@@ -75,23 +77,31 @@ impl QueryParams {
 }
 
 /// One query: an ad-hoc column (keys + values) to correlate against the
-/// corpus.
+/// corpus. `K` holds the keys: strings in a [`QueryBody`], for callers
+/// that inspect or re-render them, or [`HashedKeys`] in a
+/// [`HashedQuery`], the server's compute path.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueryBody {
+pub struct Query<K> {
     /// Label for the query column (becomes the query sketch's table
     /// name; purely cosmetic).
     pub id: String,
     /// Categorical join-key column.
-    pub keys: Vec<String>,
+    pub keys: K,
     /// Numeric value column, same length as `keys`.
     pub values: Vec<f64>,
 }
 
+/// A query column with its keys as strings.
+pub type QueryBody = Query<Vec<String>>;
+
+/// A query column with its keys hashed as they were read.
+pub type HashedQuery = Query<HashedKeys>;
+
 /// A parsed `POST /query` request.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QueryRequest {
+pub struct QueryRequestOf<K> {
     /// The query column.
-    pub body: QueryBody,
+    pub body: Query<K>,
     /// Resolved ranking parameters.
     pub params: QueryParams,
     /// `"trace": true` — return a per-request span tree alongside the
@@ -101,17 +111,136 @@ pub struct QueryRequest {
     pub trace: bool,
 }
 
+/// A `POST /query` request with string keys.
+pub type QueryRequest = QueryRequestOf<Vec<String>>;
+
+/// A `POST /query` request with hashed keys.
+pub type HashedRequest = QueryRequestOf<HashedKeys>;
+
 /// A parsed `POST /query_batch` request: many query columns ranked
 /// under one shared set of parameters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchRequest {
+pub struct BatchRequestOf<K> {
     /// The query columns, answered in order.
-    pub queries: Vec<QueryBody>,
+    pub queries: Vec<Query<K>>,
     /// Resolved ranking parameters (shared by every query).
     pub params: QueryParams,
     /// `"trace": true` — attach the span tree (excluded from the
-    /// fingerprint, like [`QueryRequest::trace`]).
+    /// fingerprint, like [`QueryRequestOf::trace`]).
     pub trace: bool,
+}
+
+/// A `POST /query_batch` request with string keys.
+pub type BatchRequest = BatchRequestOf<Vec<String>>;
+
+/// A `POST /query_batch` request with hashed keys.
+pub type HashedBatch = BatchRequestOf<HashedKeys>;
+
+/// Where the request grammar puts a query column's keys, one at a time
+/// as the reader yields them.
+pub trait KeySink {
+    /// What a sink needs to start a column.
+    type Ctx: Copy;
+
+    /// An empty column.
+    fn start(ctx: Self::Ctx) -> Self;
+
+    /// Take the column's next key.
+    fn push(&mut self, key: &str);
+
+    /// Append the column's fingerprint encoding: the key count, then
+    /// each key's record (its length as a little-endian `u64`, then its
+    /// bytes) followed by the bits of its value.
+    fn push_records(&self, values: &[f64], out: &mut Vec<u8>);
+}
+
+impl KeySink for Vec<String> {
+    type Ctx = ();
+
+    fn start((): ()) -> Self {
+        Vec::new()
+    }
+
+    fn push(&mut self, key: &str) {
+        Vec::push(self, key.to_owned());
+    }
+
+    fn push_records(&self, values: &[f64], out: &mut Vec<u8>) {
+        out.reserve(8 + self.iter().map(|k| k.len() + 16).sum::<usize>());
+        push_len(out, self.len());
+        for (k, v) in self.iter().zip(values) {
+            push_key_record(out, k);
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+}
+
+/// A query column's keys as the sketch and the fingerprint need them,
+/// with no per-key `String`: each key's `g(k)` (key hash, unit hash)
+/// under the corpus sketch configuration, and one byte arena holding
+/// every key's fingerprint record.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HashedKeys {
+    config: SketchConfig,
+    hashes: Vec<(KeyHash, f64)>,
+    /// The keys' fingerprint records, back to back.
+    records: Vec<u8>,
+}
+
+impl KeySink for HashedKeys {
+    type Ctx = SketchConfig;
+
+    fn start(config: SketchConfig) -> Self {
+        Self {
+            config,
+            hashes: Vec::new(),
+            records: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, key: &str) {
+        self.hashes.push(self.config.hasher.g(key.as_bytes()));
+        push_key_record(&mut self.records, key);
+    }
+
+    fn push_records(&self, values: &[f64], out: &mut Vec<u8>) {
+        out.reserve(8 + self.records.len() + 8 * self.hashes.len());
+        push_len(out, self.hashes.len());
+        let mut rest = self.records.as_slice();
+        for v in values.iter().take(self.hashes.len()) {
+            // Each record is a little-endian u64 length and that many
+            // bytes, as `push_key_record` wrote it.
+            let Some((len, tail)) = rest.split_first_chunk::<8>() else {
+                break;
+            };
+            let n = usize::try_from(u64::from_le_bytes(*len)).unwrap_or(usize::MAX);
+            let Some((key, tail)) = tail.split_at_checked(n) else {
+                break;
+            };
+            out.extend_from_slice(len);
+            out.extend_from_slice(key);
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+            rest = tail;
+        }
+    }
+}
+
+impl HashedQuery {
+    /// Select the query sketch from the hashed keys: the sketch
+    /// [`IndexSnapshot::build_query`] builds from the same column's
+    /// strings, without hashing any key again.
+    ///
+    /// [`IndexSnapshot::build_query`]: crate::snapshot::IndexSnapshot::build_query
+    #[must_use]
+    pub fn sketch(&self) -> CorrelationSketch {
+        // The id `build_query`'s `ColumnPair::new(id, "k", "v", ..)` gets.
+        let id = format!("{}/k/v", self.id);
+        let mut builder = StreamingSketchBuilder::new(id, self.keys.config);
+        for (&(kh, unit), &value) in self.keys.hashes.iter().zip(&self.values) {
+            builder.push_hashed(kh, unit, value);
+        }
+        builder.finish()
+    }
 }
 
 /// Ceiling on request-supplied `k` and `candidates`. Both size
@@ -119,72 +248,6 @@ pub struct BatchRequest {
 /// an enormous allocation; far beyond any useful top-k over any corpus
 /// this serves.
 pub const MAX_SELECTION: usize = 100_000;
-
-fn bounded(v: &json::Value, field: &str) -> Result<usize, String> {
-    let n = usize::try_from(v.as_u64(field).map_err(|e| e.to_string())?)
-        .map_err(|e| format!("{field}: {e}"))?;
-    if n > MAX_SELECTION {
-        return Err(format!("{field} must be <= {MAX_SELECTION}, got {n}"));
-    }
-    Ok(n)
-}
-
-fn parse_params(obj: json::Obj<'_>, defaults: &QueryParams) -> Result<QueryParams, String> {
-    let mut params = *defaults;
-    if let Some(v) = obj.opt("k") {
-        params.k = bounded(v, "k")?;
-    }
-    if let Some(v) = obj.opt("candidates") {
-        params.candidates = bounded(v, "candidates")?;
-    }
-    if let Some(v) = obj.opt("estimator") {
-        params.estimator = v
-            .as_str("estimator")
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("estimator: {e}"))?;
-    }
-    if let Some(v) = obj.opt("min_sample") {
-        params.min_sample = usize::try_from(v.as_u64("min_sample").map_err(|e| e.to_string())?)
-            .map_err(|e| format!("min_sample: {e}"))?;
-    }
-    if let Some(v) = obj.opt("alpha") {
-        let alpha = v.as_f64("alpha").map_err(|e| e.to_string())?;
-        if !(alpha > 0.0 && alpha < 1.0) {
-            return Err(format!("alpha must be in (0, 1), got {alpha}"));
-        }
-        params.alpha = alpha;
-    }
-    if let Some(v) = obj.opt("scorer") {
-        params.scorer = v
-            .as_str("scorer")
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("scorer: {e}"))?;
-    }
-    if let Some(v) = obj.opt("confidence") {
-        let confidence = v.as_f64("confidence").map_err(|e| e.to_string())?;
-        if !(confidence > 0.0 && confidence < 1.0) {
-            return Err(format!("confidence must be in (0, 1), got {confidence}"));
-        }
-        params.confidence = confidence;
-    }
-    if let Some(v) = obj.opt("plan") {
-        params.plan = v
-            .as_str("plan")
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("plan: {e}"))?;
-    }
-    Ok(params)
-}
-
-fn parse_trace(obj: json::Obj<'_>) -> Result<bool, String> {
-    match obj.opt("trace") {
-        Some(v) => v.as_bool("trace").map_err(|e| e.to_string()),
-        None => Ok(false),
-    }
-}
 
 /// Cheap pre-parse screen: a request can only have asked for a trace if
 /// the literal key `"trace"` appears in its bytes. The handlers use it
@@ -197,41 +260,288 @@ pub(crate) fn wants_trace_hint(body: &[u8]) -> bool {
     body.windows(7).any(|w| w == b"\"trace\"")
 }
 
-fn parse_body(obj: json::Obj<'_>) -> Result<QueryBody, String> {
-    let id = match obj.opt("id") {
-        Some(v) => v.as_str("id").map_err(|e| e.to_string())?.to_string(),
-        None => "query".to_string(),
+/// The request objects the grammar reads. Each reads a subset of the
+/// fields below; any other field is skipped (checked as JSON, never
+/// typed), and when a field repeats, its first occurrence wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// `/query`, `/shard_query`: one column plus the parameters.
+    Query,
+    /// `/shard_reports`: a `Query` plus the `docs` to report on.
+    Reports,
+    /// `/query_batch`, `/shard_query_batch`: `queries` plus the
+    /// parameters.
+    Batch,
+    /// One element of a batch's `queries`: a column only.
+    Column,
+}
+
+/// The fields of the request grammar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Field {
+    Id,
+    Keys,
+    Values,
+    K,
+    Candidates,
+    Estimator,
+    MinSample,
+    Alpha,
+    Scorer,
+    Confidence,
+    Plan,
+    Trace,
+    Queries,
+    Docs,
+}
+
+impl Field {
+    /// The field `name` names, if a `shape` object reads it.
+    fn of(shape: Shape, name: &str) -> Option<Self> {
+        let field = match name {
+            "id" => Self::Id,
+            "keys" => Self::Keys,
+            "values" => Self::Values,
+            "k" => Self::K,
+            "candidates" => Self::Candidates,
+            "estimator" => Self::Estimator,
+            "min_sample" => Self::MinSample,
+            "alpha" => Self::Alpha,
+            "scorer" => Self::Scorer,
+            "confidence" => Self::Confidence,
+            "plan" => Self::Plan,
+            "trace" => Self::Trace,
+            "queries" => Self::Queries,
+            "docs" => Self::Docs,
+            _ => return None,
+        };
+        let reads = match field {
+            Self::Id | Self::Keys | Self::Values => shape != Shape::Batch,
+            Self::Queries => shape == Shape::Batch,
+            Self::Docs => shape == Shape::Reports,
+            _ => shape != Shape::Column,
+        };
+        reads.then_some(field)
+    }
+}
+
+/// What one request object held, before the cross-field checks.
+struct Fields<K> {
+    id: Option<String>,
+    keys: Option<(K, usize)>,
+    values: Option<Vec<f64>>,
+    params: QueryParams,
+    trace: bool,
+    queries: Option<Vec<Query<K>>>,
+    docs: Option<Vec<DocId>>,
+}
+
+impl<K: KeySink> Fields<K> {
+    /// The query column, checked: keys and values present, equally
+    /// long, non-empty, values finite.
+    fn column(&mut self) -> Result<Query<K>, String> {
+        let (keys, key_count) = self.keys.take().ok_or("missing field 'keys'")?;
+        let values = self.values.take().ok_or("missing field 'values'")?;
+        if key_count != values.len() {
+            return Err(format!(
+                "keys ({key_count}) and values ({}) must have equal length",
+                values.len()
+            ));
+        }
+        if values.is_empty() {
+            return Err("keys must be non-empty".into());
+        }
+        if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
+            return Err(format!("values must be finite, got {bad}"));
+        }
+        let id = self.id.take().unwrap_or_else(|| "query".to_string());
+        Ok(Query { id, keys, values })
+    }
+
+    fn into_query(mut self) -> Result<QueryRequestOf<K>, String> {
+        Ok(QueryRequestOf {
+            body: self.column()?,
+            params: self.params,
+            trace: self.trace,
+        })
+    }
+
+    fn into_batch(self) -> Result<BatchRequestOf<K>, String> {
+        let queries = self.queries.ok_or("missing field 'queries'")?;
+        if queries.is_empty() {
+            return Err("queries must be non-empty".into());
+        }
+        Ok(BatchRequestOf {
+            queries,
+            params: self.params,
+            trace: self.trace,
+        })
+    }
+}
+
+/// Read one request body of `shape` in a single pass, each key going
+/// to a fresh `K` sink per column as it is read.
+fn read_request<K: KeySink>(
+    body: &[u8],
+    shape: Shape,
+    defaults: &QueryParams,
+    ctx: K::Ctx,
+) -> Result<Fields<K>, String> {
+    let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
+    let mut r = Reader::new(text);
+    let fields = read_object(&mut r, shape, "request", defaults, ctx)?;
+    r.finish()?;
+    Ok(fields)
+}
+
+fn read_object<K: KeySink>(
+    r: &mut Reader<'_>,
+    shape: Shape,
+    what: &str,
+    defaults: &QueryParams,
+    ctx: K::Ctx,
+) -> Result<Fields<K>, String> {
+    r.begin_object(what)?;
+    let mut fields = Fields {
+        id: None,
+        keys: None,
+        values: None,
+        params: *defaults,
+        trace: false,
+        queries: None,
+        docs: None,
     };
-    let keys = obj
-        .get("keys")
-        .and_then(|v| v.as_array("keys"))
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|v| v.as_str("keys[]").map(str::to_string))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())?;
-    let values = obj
-        .get("values")
-        .and_then(|v| v.as_array("values"))
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|v| v.as_f64("values[]"))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())?;
-    if keys.len() != values.len() {
-        return Err(format!(
-            "keys ({}) and values ({}) must have equal length",
-            keys.len(),
-            values.len()
-        ));
+    let mut seen = Vec::new();
+    while let Some(name) = r.next_field()? {
+        match Field::of(shape, name).filter(|f| !seen.contains(f)) {
+            Some(field) => {
+                seen.push(field);
+                read_field(r, field, &mut fields, defaults, ctx)?;
+            }
+            None => r.skip_value()?,
+        }
     }
-    if keys.is_empty() {
-        return Err("keys must be non-empty".into());
+    Ok(fields)
+}
+
+fn read_field<K: KeySink>(
+    r: &mut Reader<'_>,
+    field: Field,
+    fields: &mut Fields<K>,
+    defaults: &QueryParams,
+    ctx: K::Ctx,
+) -> Result<(), String> {
+    let params = &mut fields.params;
+    match field {
+        Field::Id => fields.id = Some(r.string("id")?.to_owned()),
+        Field::Keys => {
+            r.begin_array("keys")?;
+            let mut keys = K::start(ctx);
+            let mut count = 0;
+            while r.next_element()? {
+                keys.push(r.string("keys[]")?);
+                count += 1;
+            }
+            fields.keys = Some((keys, count));
+        }
+        Field::Values => {
+            r.begin_array("values")?;
+            let mut values = Vec::new();
+            while r.next_element()? {
+                values.push(r.f64("values[]")?);
+            }
+            fields.values = Some(values);
+        }
+        Field::K => params.k = bounded(r, "k")?,
+        Field::Candidates => params.candidates = bounded(r, "candidates")?,
+        Field::Estimator => params.estimator = named(r, "estimator")?,
+        Field::MinSample => {
+            params.min_sample =
+                usize::try_from(r.u64("min_sample")?).map_err(|e| format!("min_sample: {e}"))?;
+        }
+        Field::Alpha => params.alpha = open_unit(r, "alpha")?,
+        Field::Scorer => params.scorer = named(r, "scorer")?,
+        Field::Confidence => params.confidence = open_unit(r, "confidence")?,
+        Field::Plan => params.plan = named(r, "plan")?,
+        Field::Trace => fields.trace = r.bool("trace")?,
+        Field::Queries => {
+            r.begin_array("queries")?;
+            let mut queries = Vec::new();
+            while r.next_element()? {
+                let query = read_object(r, Shape::Column, "queries[]", defaults, ctx)
+                    .and_then(|mut column| column.column())
+                    .map_err(|e| format!("queries[{}]: {e}", queries.len()))?;
+                queries.push(query);
+            }
+            fields.queries = Some(queries);
+        }
+        Field::Docs => {
+            r.begin_array("docs")?;
+            let mut docs = Vec::new();
+            while r.next_element()? {
+                let doc = r.u64("docs[]")?;
+                docs.push(DocId::try_from(doc).map_err(|e| format!("docs[]: {e}"))?);
+            }
+            fields.docs = Some(docs);
+        }
     }
-    if let Some(bad) = values.iter().find(|v| !v.is_finite()) {
-        return Err(format!("values must be finite, got {bad}"));
+    Ok(())
+}
+
+/// A selection size: an unsigned integer no larger than
+/// [`MAX_SELECTION`].
+fn bounded(r: &mut Reader<'_>, field: &str) -> Result<usize, String> {
+    let n = usize::try_from(r.u64(field)?).map_err(|e| format!("{field}: {e}"))?;
+    if n > MAX_SELECTION {
+        return Err(format!("{field} must be <= {MAX_SELECTION}, got {n}"));
     }
-    Ok(QueryBody { id, keys, values })
+    Ok(n)
+}
+
+/// A value spelled by name, such as an estimator or a scorer.
+fn named<T>(r: &mut Reader<'_>, field: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    r.string(field)?
+        .parse()
+        .map_err(|e| format!("{field}: {e}"))
+}
+
+/// A probability strictly between 0 and 1.
+fn open_unit(r: &mut Reader<'_>, field: &str) -> Result<f64, String> {
+    let v = r.f64(field)?;
+    if !(v > 0.0 && v < 1.0) {
+        return Err(format!("{field} must be in (0, 1), got {v}"));
+    }
+    Ok(v)
+}
+
+impl<K: KeySink> QueryRequestOf<K> {
+    /// Parse a `POST /query` body in one pass, resolving absent
+    /// parameters against `defaults` and handing each key to a `K` sink
+    /// started from `ctx` as it is read.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason, safe to echo in a 400 response.
+    pub fn parse_with(body: &[u8], defaults: &QueryParams, ctx: K::Ctx) -> Result<Self, String> {
+        read_request(body, Shape::Query, defaults, ctx)?.into_query()
+    }
+
+    /// The canonical fingerprint of this request (parameters included),
+    /// for cache keying. Two requests that resolve to the same query
+    /// and parameters share a fingerprint regardless of JSON field
+    /// order, whitespace, spelled-out defaults, or key sink.
+    #[must_use]
+    pub fn fingerprint(&self) -> u128 {
+        let mut bytes = Vec::with_capacity(64);
+        bytes.extend_from_slice(b"query\x00");
+        push_params(&mut bytes, &self.params);
+        push_query(&mut bytes, &self.body);
+        fingerprint_of(&bytes)
+    }
 }
 
 impl QueryRequest {
@@ -242,70 +552,25 @@ impl QueryRequest {
     ///
     /// A human-readable reason, safe to echo in a 400 response.
     pub fn parse(body: &[u8], defaults: &QueryParams) -> Result<Self, String> {
-        let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
-        let value = json::parse(text)?;
-        let obj = value.as_object("request").map_err(|e| e.to_string())?;
-        Ok(Self {
-            body: parse_body(obj)?,
-            params: parse_params(obj, defaults)?,
-            trace: parse_trace(obj)?,
-        })
-    }
-
-    /// The canonical fingerprint of this request (parameters included),
-    /// for cache keying. Two requests that resolve to the same query
-    /// and parameters share a fingerprint regardless of JSON field
-    /// order, whitespace, or spelled-out defaults.
-    #[must_use]
-    pub fn fingerprint(&self) -> u128 {
-        let mut bytes = Vec::with_capacity(64 + self.body.keys.len() * 16);
-        bytes.extend_from_slice(b"query\x00");
-        push_params(&mut bytes, &self.params);
-        push_query(&mut bytes, &self.body);
-        fingerprint_of(&bytes)
+        Self::parse_with(body, defaults, ())
     }
 }
 
-impl BatchRequest {
+impl<K: KeySink> BatchRequestOf<K> {
     /// Parse a `POST /query_batch` body: `{"queries":[...]}` plus the
-    /// shared parameter fields of [`QueryParams`].
+    /// shared parameter fields of [`QueryParams`], in one pass.
     ///
     /// # Errors
     ///
     /// A human-readable reason, safe to echo in a 400 response.
-    pub fn parse(body: &[u8], defaults: &QueryParams) -> Result<Self, String> {
-        let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
-        let value = json::parse(text)?;
-        let obj = value.as_object("request").map_err(|e| e.to_string())?;
-        let params = parse_params(obj, defaults)?;
-        let queries = obj
-            .get("queries")
-            .and_then(|v| v.as_array("queries"))
-            .map_err(|e| e.to_string())?
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let q = v
-                    .as_object("queries[]")
-                    .map_err(|e| e.to_string())
-                    .and_then(parse_body);
-                q.map_err(|e| format!("queries[{i}]: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if queries.is_empty() {
-            return Err("queries must be non-empty".into());
-        }
-        Ok(Self {
-            queries,
-            params,
-            trace: parse_trace(obj)?,
-        })
+    pub fn parse_with(body: &[u8], defaults: &QueryParams, ctx: K::Ctx) -> Result<Self, String> {
+        read_request(body, Shape::Batch, defaults, ctx)?.into_batch()
     }
 
     /// Canonical fingerprint of the whole batch, for cache keying.
     #[must_use]
     pub fn fingerprint(&self) -> u128 {
-        let mut bytes = Vec::with_capacity(64 * self.queries.len());
+        let mut bytes = Vec::with_capacity(64);
         bytes.extend_from_slice(b"batch\x00");
         push_params(&mut bytes, &self.params);
         for q in &self.queries {
@@ -313,6 +578,34 @@ impl BatchRequest {
         }
         fingerprint_of(&bytes)
     }
+}
+
+impl BatchRequest {
+    /// Parse a `POST /query_batch` body with string keys.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason, safe to echo in a 400 response.
+    pub fn parse(body: &[u8], defaults: &QueryParams) -> Result<Self, String> {
+        Self::parse_with(body, defaults, ())
+    }
+}
+
+/// Parse a `POST /shard_reports` body: the query, as
+/// [`QueryRequestOf::parse_with`] reads it, plus the shard-local `docs`
+/// whose reports the coordinator's merge shipped.
+///
+/// # Errors
+///
+/// A human-readable reason, safe to echo in a 400 response.
+pub fn parse_shard_reports<K: KeySink>(
+    body: &[u8],
+    defaults: &QueryParams,
+    ctx: K::Ctx,
+) -> Result<(QueryRequestOf<K>, Vec<DocId>), String> {
+    let mut fields = read_request(body, Shape::Reports, defaults, ctx)?;
+    let docs = fields.docs.take().ok_or("missing field 'docs'")?;
+    Ok((fields.into_query()?, docs))
 }
 
 /// Seed of the fingerprint hash (arbitrary, fixed forever: fingerprints
@@ -327,7 +620,7 @@ fn fingerprint_of(bytes: &[u8]) -> u128 {
 
 /// Hash of the raw request-body bytes, keying the parse-skipping memo
 /// in front of the response cache ([`crate::cache::ParseMemo`]). Unlike
-/// [`QueryRequest::fingerprint`] this is *not* canonical — bodies that
+/// [`QueryRequestOf::fingerprint`] this is *not* canonical — bodies that
 /// differ only in JSON field order hash differently — which is exactly
 /// why it is only ever a memo key, never a cache key.
 #[must_use]
@@ -335,12 +628,23 @@ pub fn raw_fingerprint(bytes: &[u8]) -> u128 {
     fingerprint_of(bytes)
 }
 
+/// Append a length or count as a little-endian `u64`.
+fn push_len(bytes: &mut Vec<u8>, n: usize) {
+    bytes.extend_from_slice(&u64::try_from(n).unwrap_or(u64::MAX).to_le_bytes());
+}
+
+/// Append one key's fingerprint record: its length, then its bytes.
+fn push_key_record(bytes: &mut Vec<u8>, key: &str) {
+    push_len(bytes, key.len());
+    bytes.extend_from_slice(key.as_bytes());
+}
+
 fn push_params(bytes: &mut Vec<u8>, p: &QueryParams) {
-    bytes.extend_from_slice(&(p.k as u64).to_le_bytes());
-    bytes.extend_from_slice(&(p.candidates as u64).to_le_bytes());
+    push_len(bytes, p.k);
+    push_len(bytes, p.candidates);
     bytes.extend_from_slice(p.estimator.name().as_bytes());
     bytes.push(0);
-    bytes.extend_from_slice(&(p.min_sample as u64).to_le_bytes());
+    push_len(bytes, p.min_sample);
     bytes.extend_from_slice(&p.alpha.to_bits().to_le_bytes());
     bytes.extend_from_slice(p.scorer.name().as_bytes());
     bytes.push(0);
@@ -354,15 +658,10 @@ fn push_params(bytes: &mut Vec<u8>, p: &QueryParams) {
     bytes.extend_from_slice(&plan_confidence.to_bits().to_le_bytes());
 }
 
-fn push_query(bytes: &mut Vec<u8>, q: &QueryBody) {
-    bytes.extend_from_slice(&(q.id.len() as u64).to_le_bytes());
+fn push_query<K: KeySink>(bytes: &mut Vec<u8>, q: &Query<K>) {
+    push_len(bytes, q.id.len());
     bytes.extend_from_slice(q.id.as_bytes());
-    bytes.extend_from_slice(&(q.keys.len() as u64).to_le_bytes());
-    for (k, v) in q.keys.iter().zip(&q.values) {
-        bytes.extend_from_slice(&(k.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(k.as_bytes());
-        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    q.keys.push_records(&q.values, bytes);
 }
 
 fn push_result(out: &mut String, r: &ReportedResult) {
@@ -639,7 +938,8 @@ pub fn render_shard_batch_request(queries: &[QueryBody], params: &QueryParams) -
 
 /// Render the canonical `POST /shard_reports` request: the query and
 /// parameters again (the worker re-derives the join) plus the
-/// shard-local doc ids whose reports the merge shipped.
+/// shard-local doc ids whose reports the merge shipped. Parses back
+/// through [`parse_shard_reports`].
 #[must_use]
 pub fn render_shard_reports_request(
     body: &QueryBody,
@@ -659,29 +959,6 @@ pub fn render_shard_reports_request(
     }
     out.push_str("]}");
     out
-}
-
-/// Extract the `docs` array of a `/shard_reports` request (the rest of
-/// the body parses through [`QueryRequest::parse`], which tolerates
-/// the extra field).
-///
-/// # Errors
-///
-/// A human-readable reason, safe to echo in a 400 response.
-pub fn extract_docs(body: &[u8]) -> Result<Vec<DocId>, String> {
-    let text = std::str::from_utf8(body).map_err(|e| format!("non-utf8 body: {e}"))?;
-    let value = json::parse(text)?;
-    let obj = value.as_object("request").map_err(|e| e.to_string())?;
-    obj.get("docs")
-        .and_then(|v| v.as_array("docs"))
-        .map_err(|e| e.to_string())?
-        .iter()
-        .map(|v| {
-            v.as_u64("docs[]")
-                .map_err(|e| e.to_string())
-                .and_then(|d| DocId::try_from(d).map_err(|e| format!("docs[]: {e}")))
-        })
-        .collect()
 }
 
 fn push_shard_row(out: &mut String, row: &ShardCandidate) {
@@ -1455,9 +1732,13 @@ mod tests {
         assert_eq!(reparsed, batch);
 
         let wire = render_shard_reports_request(&req.body, &req.params, &[4, 0, 9]);
+        let (reparsed, docs) =
+            parse_shard_reports::<Vec<String>>(wire.as_bytes(), &hostile_defaults, ()).unwrap();
+        assert_eq!(reparsed, req);
+        assert_eq!(docs, vec![4, 0, 9]);
+        // `/query` reads the same body and ignores the docs.
         let reparsed = QueryRequest::parse(wire.as_bytes(), &hostile_defaults).unwrap();
         assert_eq!(reparsed, req);
-        assert_eq!(extract_docs(wire.as_bytes()).unwrap(), vec![4, 0, 9]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use sketch_index::engine;
 use sketch_obs::{promtext, Trace};
 use sketch_store::StoreError;
 
-use crate::api::{self, BatchRequest, QueryParams, QueryRequest};
+use crate::api::{self, HashedBatch, HashedQuery, HashedRequest, QueryParams};
 use crate::cache::{self, ParseMemo, QueryCache};
 use crate::conn::{self, Body, ConnLimits};
 use crate::http::Request;
@@ -528,8 +528,10 @@ fn handle_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
     } else if !trace.is_enabled() && api::wants_trace_hint(body) {
         trace = Trace::enabled();
     }
+    // The parse hashes each key as it reads it; the selection below
+    // runs only on a cache miss.
     let guard = trace.begin("parse");
-    let parsed = QueryRequest::parse(body, &ctx.defaults);
+    let parsed = HashedRequest::parse_with(body, &ctx.defaults, snap.query_config());
     trace.end(guard);
     let req = match parsed {
         Ok(req) => req,
@@ -558,7 +560,7 @@ fn handle_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
     }
     ServerStats::bump(&ctx.stats.cache_misses);
     let guard = trace.begin("build_query");
-    let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
+    let sketch = req.body.sketch();
     trace.end(guard);
     let guard = trace.begin("execute");
     let (results, plan) = engine::top_k_with_reports_traced(
@@ -601,7 +603,7 @@ fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
         trace = Trace::enabled();
     }
     let guard = trace.begin("parse");
-    let parsed = BatchRequest::parse(body, &ctx.defaults);
+    let parsed = HashedBatch::parse_with(body, &ctx.defaults, snap.query_config());
     trace.end(guard);
     let req = match parsed {
         Ok(req) => req,
@@ -619,8 +621,8 @@ fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
         trace = Trace::enabled();
     }
     let fp = req.fingerprint();
-    ctx.memo_batch
-        .put(raw, (fp, req.queries.len() as u64, req.trace));
+    let batched = u64::try_from(req.queries.len()).unwrap_or(u64::MAX);
+    ctx.memo_batch.put(raw, (fp, batched, req.trace));
     let key = (fp, snap.generation());
     let guard = trace.begin("cache_probe");
     let cached = ctx.cache.get(&key);
@@ -629,19 +631,15 @@ fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
         ServerStats::bump(&ctx.stats.cache_hits);
         ctx.stats
             .batched_queries
-            .fetch_add(req.queries.len() as u64, Ordering::Relaxed);
+            .fetch_add(batched, Ordering::Relaxed);
         return finish(ctx, &trace, req.trace, 200, Body::Shared(cached));
     }
     ServerStats::bump(&ctx.stats.cache_misses);
     ctx.stats
         .batched_queries
-        .fetch_add(req.queries.len() as u64, Ordering::Relaxed);
+        .fetch_add(batched, Ordering::Relaxed);
     let guard = trace.begin("build_query");
-    let sketches: Vec<_> = req
-        .queries
-        .into_iter()
-        .map(|q| snap.build_query(&q.id, q.keys, q.values))
-        .collect();
+    let sketches: Vec<_> = req.queries.iter().map(HashedQuery::sketch).collect();
     trace.end(guard);
     let (answers, plan) = engine::top_k_batch_with_reports_traced(
         snap.index(),
@@ -662,12 +660,12 @@ fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
 /// the shard-local candidate rows (estimated exhaustively; see
 /// [`engine::shard_candidates`]), bit-exact on the wire.
 fn handle_shard_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let req = match QueryRequest::parse(body, &ctx.defaults) {
+    let snap = ctx.cell.load();
+    let req = match HashedRequest::parse_with(body, &ctx.defaults, snap.query_config()) {
         Ok(req) => req,
         Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
     };
-    let snap = ctx.cell.load();
-    let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
+    let sketch = req.body.sketch();
     let rows = engine::shard_candidates(snap.index(), &sketch, &req.params.to_options());
     (
         200,
@@ -682,19 +680,16 @@ fn handle_shard_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
 /// `POST /shard_query_batch`: the scattered `/query_batch` half — one
 /// candidate-row list per query, all from one snapshot.
 fn handle_shard_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let req = match BatchRequest::parse(body, &ctx.defaults) {
+    let snap = ctx.cell.load();
+    let req = match HashedBatch::parse_with(body, &ctx.defaults, snap.query_config()) {
         Ok(req) => req,
         Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
     };
-    let snap = ctx.cell.load();
     let opts = req.params.to_options();
     let queries: Vec<_> = req
         .queries
-        .into_iter()
-        .map(|q| {
-            let sketch = snap.build_query(&q.id, q.keys, q.values);
-            engine::shard_candidates(snap.index(), &sketch, &opts)
-        })
+        .iter()
+        .map(|q| engine::shard_candidates(snap.index(), &q.sketch(), &opts))
         .collect();
     (
         200,
@@ -710,17 +705,13 @@ fn handle_shard_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
 /// docs the coordinator's merge actually shipped — the fetch that
 /// early termination avoids for everything else.
 fn handle_shard_reports(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let req = match QueryRequest::parse(body, &ctx.defaults) {
-        Ok(req) => req,
-        Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
-    };
-    let docs = match api::extract_docs(body) {
-        Ok(docs) => docs,
-        Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
-    };
     let snap = ctx.cell.load();
+    let (req, docs) = match api::parse_shard_reports(body, &ctx.defaults, snap.query_config()) {
+        Ok(parsed) => parsed,
+        Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
+    };
     let opts = req.params.to_options();
-    let sketch = snap.build_query(&req.body.id, req.body.keys, req.body.values);
+    let sketch = req.body.sketch();
     let mut sample = correlation_sketches::JoinSample::default();
     let reports: Vec<_> = docs
         .into_iter()

@@ -64,13 +64,19 @@ impl IndexSnapshot {
         self.index.generation()
     }
 
-    /// Build a query sketch over `keys`/`values` with the corpus
-    /// configuration, so it is joinable against every indexed sketch.
-    /// `id` becomes the sketch's table name.
+    /// The sketch configuration queries are built with: the corpus
+    /// configuration, so a query sketch is joinable against every
+    /// indexed sketch.
+    #[must_use]
+    pub fn query_config(&self) -> SketchConfig {
+        self.config.unwrap_or_else(|| SketchConfig::with_size(256))
+    }
+
+    /// Build a query sketch over `keys`/`values` with
+    /// [`Self::query_config`]. `id` becomes the sketch's table name.
     #[must_use]
     pub fn build_query(&self, id: &str, keys: Vec<String>, values: Vec<f64>) -> CorrelationSketch {
-        let config = self.config.unwrap_or_else(|| SketchConfig::with_size(256));
-        SketchBuilder::new(config).build(&ColumnPair::new(id, "k", "v", keys, values))
+        SketchBuilder::new(self.query_config()).build(&ColumnPair::new(id, "k", "v", keys, values))
     }
 }
 
