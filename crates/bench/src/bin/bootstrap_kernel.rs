@@ -20,8 +20,14 @@
 //! The fused path's one-off column centering is likewise setup, not
 //! per-resample work: a PM1 run amortizes it over hundreds of resamples.
 //!
+//! Each `n` also gets an ungated end-to-end row: the mean wall time of
+//! one `scored_estimate(pm1, 0.95)` call — index draws, gathers, the
+//! adaptive estimate and its interval's replicates on one shared stream,
+//! and the interval's order statistics — the cost one contested
+//! candidate adds to a robust-ranking query.
+//!
 //! Reported per `n`: resamples/sec for both shapes and the fused/legacy
-//! ratio; the headline number is the geometric mean of the per-size
+//! ratio, plus the scored PM1 call time; the headline number is the geometric mean of the per-size
 //! ratios (at n = 32 a resample is ~60 ns, so its ratio wobbles ±25%
 //! run to run — the geomean is the stable summary). `--assert [min]`
 //! exits non-zero unless the geomean clears `min` (default 2.0, the PR
@@ -31,7 +37,7 @@
 use std::time::Instant;
 
 use sketch_bench::{artifact, Args};
-use sketch_stats::kernel;
+use sketch_stats::{kernel, scored_estimate, BootstrapScratch, CorrelationEstimator};
 
 /// SplitMix64 step — the bench's only RNG need is deterministic index
 /// blocks and column noise, so the 5-line generator beats a dependency.
@@ -88,6 +94,23 @@ fn throughput(
     (total as f64 / start.elapsed().as_secs_f64(), sink)
 }
 
+/// Mean wall time of one `call` in microseconds, over at least `min_ms`
+/// of steady-state calls after one untimed warm-up call. Returns
+/// (µs per call, checksum), like [`throughput`].
+fn micros_per_call(min_ms: f64, mut call: impl FnMut() -> f64) -> (f64, f64) {
+    let mut sink = call();
+    let mut calls = 0u64;
+    let start = Instant::now();
+    loop {
+        sink += call();
+        calls += 1;
+        if start.elapsed().as_secs_f64() * 1e3 >= min_ms {
+            break;
+        }
+    }
+    (start.elapsed().as_secs_f64() * 1e6 / calls as f64, sink)
+}
+
 fn main() {
     let args = Args::from_env();
     let min_ms = args.get_or("ms", 300.0f64);
@@ -110,8 +133,8 @@ fn main() {
     if !json {
         println!("bootstrap resample kernel — fused gather+sums vs two-pass baseline");
         println!(
-            "{:>6}  {:>14}  {:>14}  {:>7}",
-            "n", "legacy rs/s", "fused rs/s", "ratio"
+            "{:>6}  {:>14}  {:>14}  {:>7}  {:>16}",
+            "n", "legacy rs/s", "fused rs/s", "ratio", "scored pm1 µs"
         );
     }
 
@@ -141,10 +164,17 @@ fn main() {
         });
         checksum += s1 - s2;
         let ratio = fused_rps / legacy_rps;
+        let mut scratch = BootstrapScratch::new();
+        let pm1 = CorrelationEstimator::Pm1Bootstrap { seed };
+        let (scored_us, _) = micros_per_call(min_ms, || {
+            scored_estimate(pm1, &x, &y, 0.95, &mut scratch).map_or(0.0, |s| s.ci_length())
+        });
         if !json {
-            println!("{n:>6}  {legacy_rps:>14.0}  {fused_rps:>14.0}  {ratio:>6.2}x");
+            println!(
+                "{n:>6}  {legacy_rps:>14.0}  {fused_rps:>14.0}  {ratio:>6.2}x  {scored_us:>16.1}"
+            );
         }
-        rows.push((n, legacy_rps, fused_rps, ratio));
+        rows.push((n, legacy_rps, fused_rps, ratio, scored_us));
     }
     // The two variants replay identical resamples, so their checksums
     // cancel; printing the residual keeps the work observable.
@@ -152,14 +182,16 @@ fn main() {
 
     let fields: Vec<String> = rows
         .iter()
-        .map(|(n, l, f, r)| {
+        .map(|(n, l, f, r, us)| {
             format!(
                 "{{\"n\":{n},\"legacy_resamples_per_sec\":{l:.0},\
-                 \"fused_resamples_per_sec\":{f:.0},\"ratio\":{r:.3}}}"
+                 \"fused_resamples_per_sec\":{f:.0},\"ratio\":{r:.3},\
+                 \"scored_pm1_us\":{us:.1}}}"
             )
         })
         .collect();
-    let geomean = (rows.iter().map(|&(_, _, _, r)| r.ln()).sum::<f64>() / rows.len() as f64).exp();
+    let geomean =
+        (rows.iter().map(|&(_, _, _, r, _)| r.ln()).sum::<f64>() / rows.len() as f64).exp();
     if !json {
         println!("geomean ratio: {geomean:.2}x");
     }

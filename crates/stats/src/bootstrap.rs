@@ -2,7 +2,7 @@
 //! bootstrap confidence interval (paper Section 5.3, estimator 5, and the
 //! `ci_b` risk factor of Section 4.4; Wilcox 1996).
 //!
-//! # Kernel layout (PR 6)
+//! # Kernel layout
 //!
 //! The Pearson-backed resample loops run on the fused SoA kernel of
 //! [`crate::kernel`]: the columns are centered once at their full-sample
@@ -18,13 +18,34 @@
 //! Qn, …) still materializes resamples — those statistics need the
 //! actual values — but shares the same draw/attempt semantics.
 //!
+//! **Exact draws without a division.** Every resample index is
+//! `next_u64() % n`. `n` is fixed for a whole call, so `BoundedDraw`
+//! precomputes `⌈2¹²⁸ / n⌉` once per call and then evaluates each
+//! remainder with multiplications only (Lemire, Kaser & Kurz, "Faster
+//! Remainder by Direct Computation", 2019). With a 128-bit constant the
+//! method is exact for every 64-bit word and divisor, so the index
+//! stream is the one the hardware division produced, draw for draw.
+//!
+//! **One stream for an estimate and its interval.** The scored ranking
+//! path needs both the PM1 estimate and its 95% interval. Both are seeded
+//! with the same `seed`, so they draw the same resamples in the same
+//! order: the interval's replicates are the estimate's successful
+//! replicates, in attempt order, up to its own budget (599 successes or
+//! 4 × 599 attempts). `pm1_with_replicates` therefore runs the
+//! estimate's adaptive loop once, records each success that the
+//! interval's loop would also have kept, and — if the estimate stopped
+//! first — continues the same RNG until the interval's stopping rule
+//! holds. The replicate buffer it leaves behind is element for element
+//! the one a separate interval run would have collected, so each answer
+//! is bit-identical while every resample is drawn and gathered once.
+//!
 //! Quantile steps select order statistics with `select_nth_unstable_by`
 //! instead of sorting all replicates; the k-th element under the
 //! `total_cmp` total order is the same multiset element either way, so
 //! interval endpoints are bit-identical to the sorting implementation.
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::ci::ConfidenceInterval;
 use crate::error::{validate_pairs, StatsError};
@@ -67,7 +88,9 @@ pub struct BootstrapResult {
     pub estimate: f64,
     /// Number of successful resamples actually drawn.
     pub resamples: usize,
-    /// Sample standard deviation of the resampled correlations.
+    /// Population standard deviation of the resampled correlations: the
+    /// sum of squared deviations is divided by `resamples`, not by
+    /// `resamples − 1` (the adaptive stopping rule uses the same value).
     pub std_dev: f64,
 }
 
@@ -98,23 +121,76 @@ impl BootstrapScratch {
     }
 }
 
+/// Uniform index draws from `0..n`, exactly `next_u64() % n`, without a
+/// hardware division.
+///
+/// Built once per call: `m = ⌈2¹²⁸ / n⌉` (computed as `⌊(2¹²⁸ − 1) / n⌋ + 1`,
+/// which wraps to 0 for `n = 1`, where every remainder is 0 anyway). For
+/// a word `a`, the remainder is the high 64 bits of `(m · a mod 2¹²⁸) · n`
+/// — exact for all 64-bit `a` and `n` because the constant carries 128
+/// fractional bits, at least 64 + ⌈log₂ n⌉ (Lemire, Kaser & Kurz 2019,
+/// Theorem 1).
+#[derive(Debug, Clone, Copy)]
+struct BoundedDraw {
+    n: u64,
+    m: u128,
+}
+
+impl BoundedDraw {
+    /// The draw for `0..n`. `n` must be at least 1 (callers validate the
+    /// sample first).
+    fn new(n: usize) -> Self {
+        debug_assert!(n >= 1, "bounded draw over an empty range");
+        let n = n as u64;
+        Self {
+            n,
+            m: (u128::MAX / u128::from(n)).wrapping_add(1),
+        }
+    }
+
+    /// `word % n`, by multiplication.
+    #[inline]
+    fn reduce(self, word: u64) -> u64 {
+        let low = self.m.wrapping_mul(u128::from(word));
+        let n = u128::from(self.n);
+        // High 64 bits of the 192-bit product `low · n`, assembled from
+        // two 64 × 64 → 128-bit halves; neither the halves nor their sum
+        // can overflow 128 bits.
+        let bottom = ((low & u128::from(u64::MAX)) * n) >> 64;
+        let top = (low >> 64) * n;
+        ((bottom + top) >> 64) as u64
+    }
+
+    /// The next index of the stream.
+    #[inline]
+    fn index(self, rng: &mut StdRng) -> usize {
+        self.reduce(rng.next_u64()) as usize
+    }
+}
+
 /// Fill `bx`/`by` with one resample (with replacement) of the paired
 /// sample.
-fn fill_resample(x: &[f64], y: &[f64], rng: &mut StdRng, bx: &mut [f64], by: &mut [f64]) {
-    let n = x.len();
-    for i in 0..n {
-        let j = rng.random_range(0..n);
-        bx[i] = x[j];
-        by[i] = y[j];
+fn fill_resample(
+    x: &[f64],
+    y: &[f64],
+    draw: BoundedDraw,
+    rng: &mut StdRng,
+    bx: &mut [f64],
+    by: &mut [f64],
+) {
+    for (bx, by) in bx.iter_mut().zip(by.iter_mut()) {
+        let j = draw.index(rng);
+        *bx = x[j];
+        *by = y[j];
     }
 }
 
 /// Fill `idx` with one resample's index block. Draws the *same* RNG
-/// stream as [`fill_resample`] (`n` calls of `random_range(0..n)`), so
-/// the fused and materializing paths visit identical resamples.
-fn fill_indices(n: usize, rng: &mut StdRng, idx: &mut [u32]) {
+/// stream as [`fill_resample`] (one bounded draw per slot), so the fused
+/// and materializing paths visit identical resamples.
+fn fill_indices(draw: BoundedDraw, rng: &mut StdRng, idx: &mut [u32]) {
     for slot in idx.iter_mut() {
-        *slot = rng.random_range(0..n) as u32;
+        *slot = draw.index(rng) as u32;
     }
 }
 
@@ -131,11 +207,83 @@ fn center_columns(x: &[f64], y: &[f64], cx: &mut Vec<f64>, cy: &mut Vec<f64>) {
     cy.extend(y.iter().map(|v| v - my));
 }
 
-/// Whether the fused u32-index kernel can address this sample. Columns
-/// beyond `u32::MAX` rows (32 GiB per column) fall back to the
-/// materializing path rather than truncate indices.
-fn fits_u32(n: usize) -> bool {
-    u32::try_from(n).is_ok()
+/// One call's stream of Pearson resample replicates: a seeded RNG, the
+/// bounded draw for `n`, and the buffers of the fused kernel. Columns
+/// beyond `u32::MAX` rows (32 GiB per column) fall back to materializing
+/// each resample rather than truncate indices; both shapes consume the
+/// RNG identically.
+struct PearsonStream<'a> {
+    x: &'a [f64],
+    y: &'a [f64],
+    rng: StdRng,
+    draw: BoundedDraw,
+    fused: bool,
+    idx: &'a mut Vec<u32>,
+    cx: &'a mut Vec<f64>,
+    cy: &'a mut Vec<f64>,
+    bx: &'a mut Vec<f64>,
+    by: &'a mut Vec<f64>,
+}
+
+impl<'a> PearsonStream<'a> {
+    /// Validate the sample once, fail fast if it is degenerate, and set
+    /// up the stream. Returns the stream and the scratch's replicate
+    /// buffer, which the stream does not touch.
+    fn open(
+        x: &'a [f64],
+        y: &'a [f64],
+        seed: u64,
+        scratch: &'a mut BootstrapScratch,
+    ) -> Result<(Self, &'a mut Vec<f64>), StatsError> {
+        validate_pairs(x, y, 2)?;
+        pearson(x, y)?;
+        let n = x.len();
+        let BootstrapScratch {
+            bx,
+            by,
+            rs,
+            idx,
+            cx,
+            cy,
+        } = scratch;
+        let fused = u32::try_from(n).is_ok();
+        if fused {
+            center_columns(x, y, cx, cy);
+            idx.clear();
+            idx.resize(n, 0);
+        } else {
+            bx.clear();
+            bx.resize(n, 0.0);
+            by.clear();
+            by.resize(n, 0.0);
+        }
+        let stream = Self {
+            x,
+            y,
+            rng: StdRng::seed_from_u64(seed),
+            draw: BoundedDraw::new(n),
+            fused,
+            idx,
+            cx,
+            cy,
+            bx,
+            by,
+        };
+        Ok((stream, rs))
+    }
+
+    /// Draw the next resample; its correlation, or `None` if it is
+    /// degenerate.
+    fn next_replicate(&mut self) -> Option<f64> {
+        if self.fused {
+            fill_indices(self.draw, &mut self.rng, self.idx);
+            let sums = kernel::gather_sums(self.cx, self.cy, self.idx);
+            kernel::pearson_from_gather(self.idx.len(), &sums)
+        } else {
+            fill_resample(self.x, self.y, self.draw, &mut self.rng, self.bx, self.by);
+            pearson(self.bx, self.by).ok()
+        }
+    }
 }
 
 /// PM1 bootstrap estimate of Pearson's correlation.
@@ -156,52 +304,14 @@ pub fn pm1_bootstrap(
     y: &[f64],
     cfg: &BootstrapConfig,
 ) -> Result<BootstrapResult, StatsError> {
-    pm1_bootstrap_with_scratch(x, y, cfg, &mut BootstrapScratch::new())
+    let mut scratch = BootstrapScratch::new();
+    let (mut stream, _) = PearsonStream::open(x, y, cfg.seed, &mut scratch)?;
+    adaptive_mean_loop(cfg, || stream.next_replicate())
 }
 
-/// As [`pm1_bootstrap`], reusing caller-owned resample buffers.
-/// Bit-identical to the allocating variant for every scratch state.
-///
-/// # Errors
-///
-/// Same failure modes as [`pm1_bootstrap`].
-pub fn pm1_bootstrap_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    cfg: &BootstrapConfig,
-    scratch: &mut BootstrapScratch,
-) -> Result<BootstrapResult, StatsError> {
-    validate_pairs(x, y, 2)?;
-    // Fail fast if the full sample is degenerate.
-    pearson(x, y)?;
-
-    let n = x.len();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    if fits_u32(n) {
-        let BootstrapScratch { idx, cx, cy, .. } = scratch;
-        center_columns(x, y, cx, cy);
-        idx.clear();
-        idx.resize(n, 0);
-        adaptive_mean_loop(cfg, || {
-            fill_indices(n, &mut rng, idx);
-            kernel::pearson_from_gather(n, &kernel::gather_sums(cx, cy, idx))
-        })
-    } else {
-        let BootstrapScratch { bx, by, .. } = scratch;
-        bx.clear();
-        bx.resize(n, 0.0);
-        by.clear();
-        by.resize(n, 0.0);
-        adaptive_mean_loop(cfg, || {
-            fill_resample(x, y, &mut rng, bx, by);
-            pearson(bx, by).ok()
-        })
-    }
-}
-
-/// The adaptive-stopping running-mean loop shared by the fused and
-/// materializing PM1 paths. `draw` produces one resample's correlation
-/// (`None` for a degenerate resample).
+/// The adaptive-stopping running-mean loop of the PM1 estimate. `draw`
+/// produces one resample's correlation (`None` for a degenerate
+/// resample); it is called once per attempt.
 fn adaptive_mean_loop(
     cfg: &BootstrapConfig,
     mut draw: impl FnMut() -> Option<f64>,
@@ -278,49 +388,85 @@ fn pm1_ci_indices(n: usize) -> (usize, usize) {
 ///
 /// Same failure modes as [`pm1_bootstrap`].
 pub fn pm1_ci(x: &[f64], y: &[f64], seed: u64) -> Result<ConfidenceInterval, StatsError> {
-    pm1_ci_with_scratch(x, y, seed, &mut BootstrapScratch::new())
+    let mut scratch = BootstrapScratch::new();
+    let (mut stream, rs) = PearsonStream::open(x, y, seed, &mut scratch)?;
+    rs.clear();
+    extend_replicates(PM1_CI_REPLICATES, rs, 0, || stream.next_replicate())?;
+    Ok(wilcox_interval(rs, x.len()))
 }
 
-/// As [`pm1_ci`], reusing caller-owned resample buffers. Bit-identical
-/// to the allocating variant for every scratch state.
+/// The PM1 estimate of [`pm1_bootstrap`] plus the replicates of
+/// [`pm1_ci`] for the same `cfg.seed`, from one resample stream (see the
+/// module docs). Returns the estimate and the interval's replicate values
+/// (unordered) — the buffer a separate [`pm1_ci`] run would collect,
+/// element for element.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`pm1_bootstrap`].
-pub fn pm1_ci_with_scratch(
-    x: &[f64],
-    y: &[f64],
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Result<ConfidenceInterval, StatsError> {
-    collect_pearson_replicates(x, y, PM1_CI_REPLICATES, seed, scratch)?;
-    let (a, c) = pm1_ci_indices(x.len());
-    let b = scratch.rs.len();
+/// The estimate's errors first (validation, a degenerate sample, no
+/// successful resample), then the interval's
+/// [`StatsError::ZeroVariance`] when fewer than half its replicates
+/// succeed — the order of running [`pm1_bootstrap`] then [`pm1_ci`].
+pub(crate) fn pm1_with_replicates<'s>(
+    x: &'s [f64],
+    y: &'s [f64],
+    cfg: &BootstrapConfig,
+    scratch: &'s mut BootstrapScratch,
+) -> Result<(BootstrapResult, &'s mut [f64]), StatsError> {
+    let (mut stream, rs) = PearsonStream::open(x, y, cfg.seed, scratch)?;
+    rs.clear();
+    let max_attempts = replicate_attempts(PM1_CI_REPLICATES);
+    let mut attempts = 0usize;
+    let estimate = adaptive_mean_loop(cfg, || {
+        attempts += 1;
+        let r = stream.next_replicate();
+        // Keep exactly the successes the interval's own loop would keep.
+        if let Some(r) = r {
+            if rs.len() < PM1_CI_REPLICATES && attempts <= max_attempts {
+                rs.push(r);
+            }
+        }
+        r
+    })?;
+    extend_replicates(PM1_CI_REPLICATES, rs, attempts, || stream.next_replicate())?;
+    Ok((estimate, rs))
+}
+
+/// Wilcox's modified percentile interval over the PM1 replicates in `rs`
+/// for a sample of size `n`. `rs` holds at least half of the nominal 599
+/// replicates (the collectors reject fewer).
+pub(crate) fn wilcox_interval(rs: &mut [f64], n: usize) -> ConfidenceInterval {
+    let (a, c) = pm1_ci_indices(n);
+    let b = rs.len();
     // Scale indices if we collected fewer than the nominal replicate count.
     let scale = b as f64 / PM1_CI_REPLICATES as f64;
     let lo_idx = (((a as f64) * scale).round() as usize).clamp(1, b) - 1;
     let hi_idx = (((c as f64) * scale).round() as usize).clamp(1, b) - 1;
-    let (lo, hi) = order_stat_pair(&mut scratch.rs, lo_idx.min(hi_idx), lo_idx.max(hi_idx));
-    Ok(ConfidenceInterval::new(lo, hi))
+    let (lo, hi) = order_stat_pair(rs, lo_idx.min(hi_idx), lo_idx.max(hi_idx));
+    ConfidenceInterval::new(lo, hi)
 }
 
 /// A paired-sample statistic as the generic bootstrap consumes it.
 pub type PairedStat<'a> = dyn Fn(&[f64], &[f64]) -> Result<f64, StatsError> + 'a;
 
+/// Attempt budget of a replicate collector: 4× its target.
+fn replicate_attempts(replicates: usize) -> usize {
+    replicates * 4
+}
+
 /// Draw/attempt loop shared by every replicate collector: push successful
 /// replicate values into `rs` until `replicates` are collected or the
-/// attempt budget (4× the target) runs out. Deterministic for a given
-/// draw closure — per-candidate seeding, never thread or iteration
-/// state, is what keeps scored queries bit-identical across thread
-/// counts.
-fn collect_replicates_with(
+/// attempt budget runs out, counting on from `attempts` already made.
+/// Deterministic for a given draw closure — per-candidate seeding, never
+/// thread or iteration state, is what keeps scored queries bit-identical
+/// across thread counts.
+fn extend_replicates(
     replicates: usize,
     rs: &mut Vec<f64>,
+    mut attempts: usize,
     mut draw: impl FnMut() -> Option<f64>,
 ) -> Result<(), StatsError> {
-    rs.clear();
-    let mut attempts = 0usize;
-    while rs.len() < replicates && attempts < replicates * 4 {
+    while rs.len() < replicates && attempts < replicate_attempts(replicates) {
         attempts += 1;
         if let Some(r) = draw() {
             rs.push(r);
@@ -330,74 +476,6 @@ fn collect_replicates_with(
         return Err(StatsError::ZeroVariance);
     }
     Ok(())
-}
-
-/// Collect Pearson replicate values on the fused kernel path into
-/// `scratch.rs` (unsorted; quantile steps select order statistics
-/// directly).
-fn collect_pearson_replicates(
-    x: &[f64],
-    y: &[f64],
-    replicates: usize,
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Result<(), StatsError> {
-    validate_pairs(x, y, 2)?;
-    // Fail fast if the full sample is degenerate.
-    pearson(x, y)?;
-
-    let n = x.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    if fits_u32(n) {
-        let BootstrapScratch {
-            rs, idx, cx, cy, ..
-        } = scratch;
-        center_columns(x, y, cx, cy);
-        idx.clear();
-        idx.resize(n, 0);
-        collect_replicates_with(replicates, rs, || {
-            fill_indices(n, &mut rng, idx);
-            kernel::pearson_from_gather(n, &kernel::gather_sums(cx, cy, idx))
-        })
-    } else {
-        let BootstrapScratch { bx, by, rs, .. } = scratch;
-        bx.clear();
-        bx.resize(n, 0.0);
-        by.clear();
-        by.resize(n, 0.0);
-        collect_replicates_with(replicates, rs, || {
-            fill_resample(x, y, &mut rng, bx, by);
-            pearson(bx, by).ok()
-        })
-    }
-}
-
-/// Collect replicate values of an arbitrary paired statistic into
-/// `scratch.rs` (unsorted). The statistic needs materialized resample
-/// values, so this path gathers into `bx`/`by`; the RNG stream matches
-/// the fused path draw for draw.
-fn collect_stat_replicates(
-    stat: &PairedStat<'_>,
-    x: &[f64],
-    y: &[f64],
-    replicates: usize,
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Result<(), StatsError> {
-    validate_pairs(x, y, 2)?;
-    // Fail fast if the full sample is degenerate.
-    stat(x, y)?;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let BootstrapScratch { bx, by, rs, .. } = scratch;
-    bx.clear();
-    bx.resize(x.len(), 0.0);
-    by.clear();
-    by.resize(y.len(), 0.0);
-    collect_replicates_with(replicates, rs, || {
-        fill_resample(x, y, &mut rng, bx, by);
-        stat(bx, by).ok()
-    })
 }
 
 /// Select the `(lo, hi)` order statistics (0-based, `lo <= hi`) of `rs`
@@ -420,13 +498,24 @@ fn order_stat_pair(rs: &mut [f64], lo: usize, hi: usize) -> (f64, f64) {
 
 /// The empirical `(α/2, 1 − α/2)` interval of the replicate values in
 /// `rs` at level `confidence`.
-fn percentile_interval(rs: &mut [f64], confidence: f64) -> ConfidenceInterval {
-    let alpha = (1.0 - confidence).clamp(1e-9, 1.0);
+///
+/// # Errors
+///
+/// [`StatsError::TooFewSamples`] when `rs` is empty: no order statistic
+/// exists.
+pub(crate) fn percentile_interval(
+    rs: &mut [f64],
+    confidence: f64,
+) -> Result<ConfidenceInterval, StatsError> {
     let b = rs.len();
+    if b == 0 {
+        return Err(StatsError::TooFewSamples { needed: 1, got: 0 });
+    }
+    let alpha = (1.0 - confidence).clamp(1e-9, 1.0);
     let lo_rank = ((alpha / 2.0 * b as f64).ceil() as usize).clamp(1, b);
     let hi_rank = (b + 1 - lo_rank).clamp(1, b);
     let (lo, hi) = order_stat_pair(rs, lo_rank.min(hi_rank) - 1, lo_rank.max(hi_rank) - 1);
-    ConfidenceInterval::new(lo, hi)
+    Ok(ConfidenceInterval::new(lo, hi))
 }
 
 /// Plain percentile bootstrap confidence interval of an arbitrary paired
@@ -436,13 +525,15 @@ fn percentile_interval(rs: &mut [f64], confidence: f64) -> ConfidenceInterval {
 ///
 /// Draws `replicates` resamples with a fixed `seed` (fully deterministic)
 /// and returns the empirical `(α/2, 1 − α/2)` order statistics of the
-/// successful replicate values.
+/// successful replicate values. The statistic needs materialized
+/// resample values, so this path gathers into the scratch's `bx`/`by`;
+/// its RNG stream matches the fused Pearson path draw for draw.
 ///
 /// # Errors
 ///
-/// Validation errors of the statistic itself, or
+/// Validation errors of the statistic itself,
 /// [`StatsError::ZeroVariance`] when more than half the resamples are
-/// degenerate.
+/// degenerate, or [`StatsError::TooFewSamples`] when `replicates` is 0.
 pub fn percentile_bootstrap_ci(
     stat: &PairedStat<'_>,
     x: &[f64],
@@ -452,32 +543,29 @@ pub fn percentile_bootstrap_ci(
     seed: u64,
     scratch: &mut BootstrapScratch,
 ) -> Result<ConfidenceInterval, StatsError> {
-    collect_stat_replicates(stat, x, y, replicates, seed, scratch)?;
-    Ok(percentile_interval(&mut scratch.rs, confidence))
-}
+    validate_pairs(x, y, 2)?;
+    // Fail fast if the full sample is degenerate.
+    stat(x, y)?;
 
-/// As [`percentile_bootstrap_ci`] specialized to Pearson's `r` on the
-/// fused kernel path: no resample materialization, no per-replicate
-/// validation. Used by the scored pipeline for PM1 intervals at
-/// non-tabulated confidence levels.
-///
-/// # Errors
-///
-/// Same failure modes as [`pm1_bootstrap`].
-pub fn pearson_percentile_ci(
-    x: &[f64],
-    y: &[f64],
-    replicates: usize,
-    confidence: f64,
-    seed: u64,
-    scratch: &mut BootstrapScratch,
-) -> Result<ConfidenceInterval, StatsError> {
-    collect_pearson_replicates(x, y, replicates, seed, scratch)?;
-    Ok(percentile_interval(&mut scratch.rs, confidence))
+    let draw = BoundedDraw::new(x.len());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let BootstrapScratch { bx, by, rs, .. } = scratch;
+    bx.clear();
+    bx.resize(x.len(), 0.0);
+    by.clear();
+    by.resize(y.len(), 0.0);
+    rs.clear();
+    extend_replicates(replicates, rs, 0, || {
+        fill_resample(x, y, draw, &mut rng, bx, by);
+        stat(bx, by).ok()
+    })?;
+    percentile_interval(rs, confidence)
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn linear_data(n: usize) -> (Vec<f64>, Vec<f64>) {
@@ -638,20 +726,163 @@ mod tests {
             let lo_rank = ((alpha / 2.0 * b as f64).ceil() as usize).clamp(1, b);
             let hi_rank = (b + 1 - lo_rank).clamp(1, b);
             let mut work = rs.clone();
-            let ci = percentile_interval(&mut work, confidence);
+            let ci = percentile_interval(&mut work, confidence).unwrap();
             assert_eq!(ci.low.to_bits(), sorted[lo_rank - 1].to_bits());
             assert_eq!(ci.high.to_bits(), sorted[hi_rank - 1].to_bits());
         }
     }
+    /// The interval's replicates collected by their own run — a second
+    /// pass over the stream, as the scored path did before it shared one.
+    fn separate_replicates(x: &[f64], y: &[f64], seed: u64) -> Result<Vec<f64>, StatsError> {
+        let mut scratch = BootstrapScratch::new();
+        let (mut stream, rs) = PearsonStream::open(x, y, seed, &mut scratch)?;
+        rs.clear();
+        extend_replicates(PM1_CI_REPLICATES, rs, 0, || stream.next_replicate())?;
+        Ok(rs.clone())
+    }
+
+    /// `(estimate, resamples, std_dev, replicates)` as bit patterns.
+    type Pm1Bits = (u64, usize, u64, Vec<u64>);
+
+    fn to_bits(est: &BootstrapResult, rs: &[f64]) -> Pm1Bits {
+        (
+            est.estimate.to_bits(),
+            est.resamples,
+            est.std_dev.to_bits(),
+            rs.iter().map(|r| r.to_bits()).collect(),
+        )
+    }
+
+    /// The shared stream must equal the two separate runs — estimate,
+    /// replicate buffer (in order) and error — for any config.
+    fn assert_shared_matches_separate(x: &[f64], y: &[f64], cfg: &BootstrapConfig) {
+        let separate = pm1_bootstrap(x, y, cfg).and_then(|est| {
+            let rs = separate_replicates(x, y, cfg.seed)?;
+            Ok(to_bits(&est, &rs))
+        });
+        let mut scratch = BootstrapScratch::new();
+        let shared = pm1_with_replicates(x, y, cfg, &mut scratch).map(|(e, rs)| to_bits(&e, rs));
+        assert_eq!(shared, separate, "n={} cfg={cfg:?}", x.len());
+    }
+
+    /// Only `x[0]` (a value whose square overflows) and `y[1]` move the
+    /// columns, so a resample succeeds only if it skips row 0 and draws
+    /// row 1: about 24% of attempts at n = 10, under the interval's 25%
+    /// needed to fill 599 replicates within 4 × 599 attempts.
+    fn sparse_columns(n: usize) -> (Vec<f64>, Vec<f64>) {
+        let x: Vec<f64> = (0..n)
+            .map(|i| {
+                if i == 0 {
+                    1e200
+                } else {
+                    (i as f64 * 0.9).sin()
+                }
+            })
+            .collect();
+        let y: Vec<f64> = (0..n).map(|i| f64::from(u8::from(i == 1))).collect();
+        (x, y)
+    }
 
     #[test]
-    fn pearson_percentile_ci_close_to_generic_stat_path() {
+    fn sparse_columns_bind_the_interval_attempt_cap() {
+        let (x, y) = sparse_columns(10);
+        let rs = separate_replicates(&x, &y, 3).unwrap();
+        assert!(
+            (PM1_CI_REPLICATES / 2..PM1_CI_REPLICATES).contains(&rs.len()),
+            "{} replicates",
+            rs.len()
+        );
+    }
+
+    #[test]
+    fn shared_stream_equals_separate_runs() {
+        let configs = [
+            // Stops at the 100-resample floor: the interval continues.
+            BootstrapConfig::default(),
+            // Runs past 599 successes: recording stops inside the loop.
+            BootstrapConfig {
+                min_resamples: 1_000,
+                ..BootstrapConfig::default()
+            },
+            // Runs past 4 × 599 attempts on sparse columns: the
+            // interval's attempt cap stops recording inside the loop.
+            BootstrapConfig {
+                min_resamples: 3_000,
+                max_resamples: 3_000,
+                ..BootstrapConfig::default()
+            },
+            // Exhausts a tiny budget before the floor.
+            BootstrapConfig {
+                min_resamples: 50,
+                max_resamples: 40,
+                ..BootstrapConfig::default()
+            },
+        ];
+        let fixtures = [
+            linear_data(3),
+            linear_data(30),
+            linear_data(250),
+            sparse_columns(10),
+            sparse_columns(40),
+            (vec![0.0, 0.0, 1.0, 1.0, 2.0], vec![1.0, 0.0, 0.0, 1.0, 1.0]),
+            (vec![1.0, 1.0, 1.0], vec![1.0, 2.0, 3.0]),
+        ];
+        for seed in [1u64, 7, 0x5eed] {
+            for cfg in &configs {
+                let cfg = BootstrapConfig { seed, ..*cfg };
+                for (x, y) in &fixtures {
+                    assert_shared_matches_separate(x, y, &cfg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn attempt_cap_boundary_matches_separate_runs() {
+        // The estimate runs far past 4 × 599 attempts while the interval
+        // still lacks replicates. Whether the success drawn exactly at
+        // the cap attempt is kept depends on the seed (about one seed in
+        // four draws a success there), so sweep enough seeds to pin the
+        // boundary.
+        let (x, y) = sparse_columns(10);
+        for seed in 0..64 {
+            let cfg = BootstrapConfig {
+                min_resamples: 3_000,
+                max_resamples: 3_000,
+                seed,
+                ..BootstrapConfig::default()
+            };
+            assert_shared_matches_separate(&x, &y, &cfg);
+        }
+    }
+
+    #[test]
+    fn zero_replicates_is_a_typed_error_not_a_panic() {
+        let (x, y) = linear_data(20);
+        let ci = percentile_bootstrap_ci(
+            &|a, b| pearson(a, b),
+            &x,
+            &y,
+            0,
+            0.9,
+            1,
+            &mut BootstrapScratch::new(),
+        );
+        assert_eq!(ci, Err(StatsError::TooFewSamples { needed: 1, got: 0 }));
+        assert_eq!(
+            percentile_interval(&mut [], 0.95),
+            Err(StatsError::TooFewSamples { needed: 1, got: 0 })
+        );
+    }
+
+    #[test]
+    fn fused_percentile_interval_close_to_generic_stat_path() {
         // Fused Pearson replicates visit the same resamples as the
         // generic materializing path (same RNG stream), so the intervals
         // differ only by kernel float reassociation.
         let (x, y) = linear_data(90);
-        let fused =
-            pearson_percentile_ci(&x, &y, 599, 0.9, 17, &mut BootstrapScratch::new()).unwrap();
+        let mut rs = separate_replicates(&x, &y, 17).unwrap();
+        let fused = percentile_interval(&mut rs, 0.9).unwrap();
         let generic = percentile_bootstrap_ci(
             &|a, b| pearson(a, b),
             &x,
@@ -670,5 +901,80 @@ mod tests {
             (fused.high - generic.high).abs() < 1e-9,
             "{fused:?} {generic:?}"
         );
+    }
+
+    /// Divisors the division-free draw must reduce exactly: the edges,
+    /// every power of two and its neighbours, and `u32::MAX`.
+    fn edge_divisors() -> Vec<u64> {
+        let mut ns = vec![1, 2, 3, u64::from(u32::MAX), u64::MAX];
+        for k in 1..64 {
+            ns.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        ns
+    }
+
+    #[test]
+    fn bounded_draw_is_exact_on_edge_divisors_and_words() {
+        for n in edge_divisors() {
+            let draw = BoundedDraw::new(n as usize);
+            for word in [0, 1, n - 1, n, n.wrapping_add(1), u64::MAX - 1, u64::MAX] {
+                assert_eq!(draw.reduce(word), word % n, "n={n} word={word}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_draw_replays_the_modulo_stream() {
+        // The rand shim's `random_range(0..n)` is `next_u64() % n`.
+        use rand::RngExt;
+        for n in [1usize, 2, 3, 10, 255, 256, 257, 1_000_003] {
+            let draw = BoundedDraw::new(n);
+            let mut a = StdRng::seed_from_u64(n as u64);
+            let mut b = StdRng::seed_from_u64(n as u64);
+            for _ in 0..2_000 {
+                assert_eq!(draw.index(&mut a), b.random_range(0..n));
+            }
+        }
+    }
+
+    proptest! {
+        /// Exact `word % n` for arbitrary words and divisors, including
+        /// every edge divisor against the same arbitrary word.
+        #[test]
+        fn bounded_draw_is_exact_for_arbitrary_words(
+            word in any::<u64>(),
+            n in any::<u64>(),
+            small in 1u64..5_000,
+        ) {
+            for n in [n.max(1), small, n >> 32 | 1] {
+                prop_assert_eq!(BoundedDraw::new(n as usize).reduce(word), word % n);
+            }
+            for n in edge_divisors() {
+                prop_assert_eq!(BoundedDraw::new(n as usize).reduce(word), word % n);
+            }
+        }
+
+        /// The shared stream equals the separate runs on arbitrary small,
+        /// tied columns — with and without an overflowing row — under
+        /// arbitrary budgets.
+        #[test]
+        fn shared_stream_equals_separate_runs_on_tied_columns(
+            cols in proptest::collection::vec((0u8..3, 0u8..3), 3..14),
+            poison in any::<bool>(),
+            min_resamples in 1usize..1_500,
+            seed in any::<u64>(),
+        ) {
+            let mut x: Vec<f64> = cols.iter().map(|c| f64::from(c.0)).collect();
+            let y: Vec<f64> = cols.iter().map(|c| f64::from(c.1)).collect();
+            if poison {
+                x[0] = 1e200;
+            }
+            let cfg = BootstrapConfig {
+                min_resamples,
+                seed,
+                ..BootstrapConfig::default()
+            };
+            assert_shared_matches_separate(&x, &y, &cfg);
+        }
     }
 }

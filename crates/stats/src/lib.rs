@@ -42,8 +42,8 @@ pub mod scored;
 pub mod spearman;
 
 pub use bootstrap::{
-    pearson_percentile_ci, percentile_bootstrap_ci, pm1_bootstrap, pm1_bootstrap_with_scratch,
-    pm1_ci, pm1_ci_with_scratch, BootstrapConfig, BootstrapResult, BootstrapScratch,
+    percentile_bootstrap_ci, pm1_bootstrap, pm1_ci, BootstrapConfig, BootstrapResult,
+    BootstrapScratch,
 };
 pub use ci::{
     bernstein_interval, fisher_z_interval, fisher_z_se, hfd_interval, hoeffding_interval,

@@ -9,7 +9,13 @@
 //!   back. Closed-form, O(1) after the moment pass.
 //! * **PM1 bootstrap** — Wilcox's modified percentile bootstrap interval
 //!   ([`crate::pm1_ci`]) at its native 95% level, the plain percentile
-//!   interval at any other level.
+//!   interval at any other level. The estimate and the interval share one
+//!   resample stream: both are seeded with the candidate's seed, so the
+//!   interval's 599 replicates are the estimate's replicates, continued
+//!   from where the estimate's adaptive loop stopped. Each resample is
+//!   drawn and gathered once, and the answer is bit-identical to running
+//!   [`crate::pm1_bootstrap`] and then [`crate::pm1_ci`] (the
+//!   `prop_kernel` battery checks this `to_bits`).
 //! * **Robust estimators** (Spearman, RIN, Qn, Kendall, distance
 //!   correlation) — the plain percentile bootstrap
 //!   ([`crate::percentile_bootstrap_ci`]) of the estimator itself.
@@ -20,8 +26,8 @@
 //! thread counts and allocation-free on the hot path.
 
 use crate::bootstrap::{
-    pearson_percentile_ci, percentile_bootstrap_ci, pm1_bootstrap_with_scratch,
-    pm1_ci_with_scratch, BootstrapConfig, BootstrapScratch,
+    percentile_bootstrap_ci, percentile_interval, pm1_with_replicates, wilcox_interval,
+    BootstrapConfig, BootstrapScratch,
 };
 use crate::ci::{fisher_z_interval, ConfidenceInterval};
 use crate::error::StatsError;
@@ -107,16 +113,18 @@ pub fn scored_estimate(
                 seed,
                 ..BootstrapConfig::default()
             };
-            let est = pm1_bootstrap_with_scratch(x, y, &cfg, scratch)?.estimate;
+            // One resample stream serves both: the interval's replicates
+            // are the estimate's, continued to the interval's budget.
+            let (est, rs) = pm1_with_replicates(x, y, &cfg, scratch)?;
             // Wilcox's small-sample index adjustment is tabulated for
             // 95% only; other levels fall back to the plain percentile
-            // interval over the same replicate budget.
+            // interval over the same replicates.
             let ci = if (confidence - 0.95).abs() < 1e-12 {
-                pm1_ci_with_scratch(x, y, seed, scratch)?
+                wilcox_interval(rs, x.len())
             } else {
-                pearson_percentile_ci(x, y, 599, confidence, seed, scratch)?
+                percentile_interval(rs, confidence)?
             };
-            (est, ci)
+            (est.estimate, ci)
         }
         other => {
             let est = other.estimate(x, y)?;

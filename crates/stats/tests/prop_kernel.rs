@@ -28,18 +28,30 @@
 //!    rule gets a looser documented bound (the stopping iteration can
 //!    flip on an ε change in one replicate), so the tight property runs
 //!    on a fixed replicate budget.
+//! 3. **Shared resample stream, bit-exact**: `scored_estimate(pm1, c)`
+//!    draws each resample once for both its estimate and its interval,
+//!    with a division-free index draw. It must equal the standalone
+//!    `pm1_bootstrap` estimate plus an interval over a literal replay of
+//!    the fused stream (`next_u64() % n` draws, 599 replicates, 4 × 599
+//!    attempts) `to_bits` for `to_bits`, and fail with the same error.
+//!    With the default config the estimate stops by ~348 successes
+//!    (its stopping rule binds once `0.01·(count+1)/sd > 3.48` and
+//!    `sd ≤ 1`), so the branches where the estimate's own loop passes 599
+//!    successes or 4 × 599 attempts are covered by configurable unit
+//!    tests in `src/bootstrap.rs`, next to the draw's exactness
+//!    properties.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use sketch_stats::kernel::{
     centered_sums, centered_sums_scalar, column_means, gather_sums, gather_sums_scalar, lane_sum,
     lane_sum_scalar, pearson_from_gather, resample_pearson_twopass,
 };
 use sketch_stats::{
-    pearson, percentile_bootstrap_ci, pm1_bootstrap, pm1_ci, spearman, BootstrapConfig,
-    BootstrapScratch,
+    pearson, percentile_bootstrap_ci, pm1_bootstrap, pm1_ci, scored_estimate, spearman,
+    BootstrapConfig, BootstrapScratch, CorrelationEstimator, StatsError,
 };
 
 /// Bitwise equality with NaN compared as a class: every non-NaN value
@@ -372,5 +384,151 @@ fn adaptive_pm1_documented_divergence_bound() {
             new.estimate,
             new.resamples
         );
+    }
+}
+
+/// The fused Pearson replicate stream, spelled out literally: one
+/// `next_u64() % n` per index (a hardware division, independent of the
+/// library's division-free draw), the columns centered once at their
+/// full-sample means, then the five-sum gather and its finisher, under
+/// the interval collectors' budget of `replicates` successes or
+/// `4 × replicates` attempts. It replays the production stream bit for
+/// bit, so it pins both the draws and the interval's stopping rule.
+fn literal_fused_replicates(x: &[f64], y: &[f64], replicates: usize, seed: u64) -> Vec<f64> {
+    let n = x.len();
+    let (mx, my) = column_means(x, y);
+    let cx: Vec<f64> = x.iter().map(|v| v - mx).collect();
+    let cy: Vec<f64> = y.iter().map(|v| v - my).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut idx = vec![0u32; n];
+    let mut rs = Vec::new();
+    let mut attempts = 0usize;
+    while rs.len() < replicates && attempts < replicates * 4 {
+        attempts += 1;
+        for slot in &mut idx {
+            *slot = (rng.next_u64() % n as u64) as u32;
+        }
+        if let Some(r) = pearson_from_gather(n, &gather_sums(&cx, &cy, &idx)) {
+            rs.push(r);
+        }
+    }
+    rs
+}
+
+/// What `scored_estimate(pm1, confidence)` must return, from the
+/// reference pieces: the standalone `pm1_bootstrap` estimate, then an
+/// interval over the 599 literal replicates — Wilcox's indices at 0.95
+/// (also checked against the standalone `pm1_ci`), the plain percentile
+/// ranks at any other level. Errors come in the same order: the
+/// estimate's first, then the interval's "fewer than half" error.
+fn reference_pm1_scored(
+    x: &[f64],
+    y: &[f64],
+    seed: u64,
+    confidence: f64,
+) -> Result<[u64; 3], StatsError> {
+    let cfg = BootstrapConfig {
+        seed,
+        ..BootstrapConfig::default()
+    };
+    let estimate = pm1_bootstrap(x, y, &cfg)?.estimate;
+    let mut rs = literal_fused_replicates(x, y, 599, seed);
+    if rs.len() < 599 / 2 {
+        assert_eq!(pm1_ci(x, y, seed), Err(StatsError::ZeroVariance));
+        return Err(StatsError::ZeroVariance);
+    }
+    rs.sort_by(f64::total_cmp);
+    let b = rs.len();
+    let (lo, hi) = if confidence == 0.95 {
+        let (a, c) = pm1_indices(x.len());
+        let scale = b as f64 / 599.0;
+        let lo = (((a as f64) * scale).round() as usize).clamp(1, b) - 1;
+        let hi = (((c as f64) * scale).round() as usize).clamp(1, b) - 1;
+        let ci = pm1_ci(x, y, seed).unwrap();
+        assert_eq!(ci.low.to_bits(), rs[lo].to_bits(), "pm1_ci low");
+        assert_eq!(ci.high.to_bits(), rs[hi].to_bits(), "pm1_ci high");
+        (lo, hi)
+    } else {
+        let alpha = 1.0 - confidence;
+        let lo_rank = ((alpha / 2.0 * b as f64).ceil() as usize).clamp(1, b);
+        let hi_rank = (b + 1 - lo_rank).clamp(1, b);
+        (lo_rank - 1, hi_rank - 1)
+    };
+    Ok([estimate.to_bits(), rs[lo].to_bits(), rs[hi].to_bits()])
+}
+
+fn scored_pm1_bits(
+    x: &[f64],
+    y: &[f64],
+    seed: u64,
+    confidence: f64,
+    scratch: &mut BootstrapScratch,
+) -> Result<[u64; 3], StatsError> {
+    let est = CorrelationEstimator::Pm1Bootstrap { seed };
+    let s = scored_estimate(est, x, y, confidence, scratch)?;
+    assert_eq!(s.sample_size, x.len());
+    Ok([s.estimate.to_bits(), s.ci_lo.to_bits(), s.ci_hi.to_bits()])
+}
+
+/// Small columns over a three-level alphabet: ties everywhere, so many
+/// resamples are degenerate. With `poison`, row 0 of `x` overflows when
+/// squared, so every resample that draws it is degenerate too and the
+/// interval's 4 × 599 attempt cap can bind before 599 successes.
+fn tied_columns() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (vec((0u8..3, 0u8..3), 3..24), any::<bool>()).prop_map(|(cells, poison)| {
+        let mut x: Vec<f64> = cells.iter().map(|c| f64::from(c.0)).collect();
+        let y: Vec<f64> = cells.iter().map(|c| f64::from(c.1)).collect();
+        if poison {
+            x[0] = 1e200;
+        }
+        (x, y)
+    })
+}
+
+/// Independent noise on few rows: the widest replicate spread the
+/// default stopping rule sees, so the estimate runs longest.
+fn noisy_columns() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    vec((-1.0f64..1.0, -1.0f64..1.0), 3..12)
+        .prop_map(|cells| cells.into_iter().unzip::<f64, f64, Vec<f64>, Vec<f64>>())
+}
+
+/// A confidence level: the tabulated 0.95 or a plain percentile level.
+fn level() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.95), Just(0.9), 0.5f64..0.99]
+}
+
+proptest! {
+    /// Shared resample stream: `scored_estimate(pm1)` equals the
+    /// reference pieces `to_bits` for `to_bits`, and fails with the same
+    /// error, on tied and overflow-poisoned columns (degenerate resamples
+    /// push the attempt caps), through a reused scratch.
+    #[test]
+    fn scored_pm1_equals_reference_on_tied_columns(
+        (x, y) in tied_columns(),
+        seed in any::<u64>(),
+        confidence in level(),
+    ) {
+        let mut scratch = BootstrapScratch::new();
+        let _ = scored_pm1_bits(&y, &x, seed ^ 1, 0.8, &mut scratch);
+        let got = scored_pm1_bits(&x, &y, seed, confidence, &mut scratch);
+        prop_assert_eq!(got, reference_pm1_scored(&x, &y, seed, confidence));
+    }
+
+    /// The same on wide-spread noise, well-conditioned trends of every
+    /// Wilcox size band, and the smallest sample PM1 accepts.
+    #[test]
+    fn scored_pm1_equals_reference_on_noise_and_trends(
+        (nx, ny) in noisy_columns(),
+        (tx, ty) in conditioned_columns(3..300),
+        tiny in vec(-5.0f64..5.0, 6..7),
+        seed in any::<u64>(),
+        confidence in level(),
+    ) {
+        let mut scratch = BootstrapScratch::new();
+        let (sx, sy) = tiny.split_at(3);
+        for (x, y) in [(&nx[..], &ny[..]), (&tx[..], &ty[..]), (sx, sy)] {
+            let got = scored_pm1_bits(x, y, seed, confidence, &mut scratch);
+            prop_assert_eq!(got, reference_pm1_scored(x, y, seed, confidence), "n={}", x.len());
+        }
     }
 }
