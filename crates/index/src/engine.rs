@@ -23,7 +23,7 @@
 //! `k` winners' samples are rebuilt afterwards (for reports), so the
 //! ~`overlap_candidates` losers never materialize anything.
 
-use correlation_sketches::{join_sketches, join_sketches_into, CorrelationSketch, JoinSample};
+use correlation_sketches::{join_sketches_into, CorrelationSketch, JoinSample};
 use sketch_obs::Trace;
 use sketch_ranking::{desc_score_nan_last, score_bounds, score_estimates, Scorer};
 use sketch_stats::{scored_estimate, BootstrapScratch, CorrelationEstimator, ScoredEstimate};
@@ -78,20 +78,6 @@ impl Default for QueryOptions {
     }
 }
 
-/// A retrieved candidate: the joined sample plus retrieval metadata,
-/// handed to scoring functions.
-#[derive(Debug)]
-pub struct Candidate<'a> {
-    /// Document id in the index.
-    pub doc: DocId,
-    /// The candidate's sketch.
-    pub sketch: &'a CorrelationSketch,
-    /// Number of overlapping sketch keys found during retrieval.
-    pub overlap: usize,
-    /// The reconstructed join sample (query ⨝ candidate).
-    pub sample: JoinSample,
-}
-
 /// One ranked query answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
@@ -107,49 +93,12 @@ pub struct QueryResult {
     /// non-degenerate.
     pub estimate: Option<f64>,
     /// Lower endpoint of the estimator-matched confidence interval at
-    /// [`QueryOptions::confidence`]; present whenever `estimate` is on
-    /// the scored paths ([`top_k_join_correlation`],
-    /// [`top_k_with_reports`], the batch variants), absent on the
-    /// custom-closure path ([`top_k_with_scorer`]), which skips
-    /// interval computation.
+    /// [`QueryOptions::confidence`]; present whenever `estimate` is.
     pub ci_lo: Option<f64>,
     /// Upper endpoint of the confidence interval.
     pub ci_hi: Option<f64>,
     /// Final ranking score under [`QueryOptions::scorer`].
     pub score: f64,
-}
-
-/// Retrieve the overlap candidates for `query` and materialize their join
-/// samples. This is steps 1–2 of the pipeline; use
-/// [`top_k_join_correlation`] for the full query.
-#[must_use]
-pub fn retrieve_candidates<'a>(
-    index: &'a SketchIndex,
-    query: &CorrelationSketch,
-    overlap_candidates: usize,
-) -> Vec<Candidate<'a>> {
-    retrieve_candidates_threaded(index, query, overlap_candidates, 1)
-}
-
-/// As [`retrieve_candidates`], fanning the joins out over up to `threads`
-/// scoped worker threads. Deterministic: contiguous chunks of the
-/// retrieval order are joined independently and re-concatenated, so the
-/// output is bit-identical to the serial build for every thread count
-/// (`0` is treated as `1`; counts above the candidate count are capped).
-#[must_use]
-pub fn retrieve_candidates_threaded<'a>(
-    index: &'a SketchIndex,
-    query: &CorrelationSketch,
-    overlap_candidates: usize,
-    threads: usize,
-) -> Vec<Candidate<'a>> {
-    let hits = index.overlap_candidates(query, overlap_candidates);
-    // Estimation is skipped (min_sample usize::MAX): callers of the
-    // candidate API estimate themselves.
-    join_map(index, query, &hits, threads, usize::MAX, |_, _| None::<f64>)
-        .into_iter()
-        .map(|(cand, _)| cand)
-        .collect()
 }
 
 /// Per-worker scratch for the scored stage-2 pass: one [`JoinSample`]
@@ -216,10 +165,39 @@ fn scored_chunk(
         .collect()
 }
 
+/// Fan `run` out over contiguous chunks of `items` on up to `threads`
+/// scoped threads, one fresh scratch per worker (`scratch` itself when
+/// the pass runs serially), and concatenate the chunk outputs in order.
+/// Every item's output is a pure function of the item, so the result is
+/// bit-identical for every thread count (`0` is treated as `1`; counts
+/// above the item count are capped).
+fn chunked<T: Sync, S: Default, O: Send>(
+    items: &[T],
+    threads: usize,
+    scratch: &mut S,
+    run: impl Fn(&[T], &mut S) -> Vec<O> + Sync,
+) -> Vec<O> {
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        return run(items, scratch);
+    }
+    let chunk_len = items.len().div_ceil(threads);
+    let mut out = Vec::with_capacity(items.len());
+    let run = &run;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk_len)
+            .map(|chunk| scope.spawn(move || run(chunk, &mut S::default())))
+            .collect();
+        for h in handles {
+            out.extend(h.join().expect("query workers do not panic"));
+        }
+    });
+    out
+}
+
 /// The fused join + estimate + CI pass over a hit list — the expensive,
-/// embarrassingly parallel part, fanned out over scoped threads with
-/// deterministic contiguous chunking and one [`StageScratch`] per
-/// worker (`scratch` is used directly when the pass runs serially).
+/// embarrassingly parallel part, fanned out by [`chunked`].
 fn estimate_hits(
     index: &SketchIndex,
     query: &CorrelationSketch,
@@ -228,26 +206,9 @@ fn estimate_hits(
     threads: usize,
     scratch: &mut StageScratch,
 ) -> Vec<ScoredRow> {
-    let threads = threads.clamp(1, hits.len().max(1));
-    if threads == 1 {
-        return scored_chunk(index, query, hits, opts, scratch);
-    }
-    let chunk_len = hits.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(hits.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = hits
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    scored_chunk(index, query, chunk, opts, &mut StageScratch::default())
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("query workers do not panic"));
-        }
-    });
-    out
+    chunked(hits, threads, scratch, |chunk, scratch| {
+        scored_chunk(index, query, chunk, opts, scratch)
+    })
 }
 
 /// Stage 2 under the configured plan: either one exhaustive pass with
@@ -427,134 +388,6 @@ fn scored_rows(
     )
 }
 
-/// Join one contiguous chunk of the hit list and apply the `estimate`
-/// kernel to each materialized sample, reusing one bootstrap scratch
-/// for the whole chunk. Each candidate's output is a pure function of
-/// its own join sample, so chunking (and therefore the thread count)
-/// never changes a bit of the output.
-fn join_chunk<'a, E>(
-    index: &'a SketchIndex,
-    query: &CorrelationSketch,
-    chunk: &[(DocId, usize)],
-    min_sample: usize,
-    estimate: &(impl Fn(&JoinSample, &mut BootstrapScratch) -> Option<E> + Sync),
-    scratch: &mut BootstrapScratch,
-) -> Vec<(Candidate<'a>, Option<E>)> {
-    chunk
-        .iter()
-        .filter_map(|&(doc, overlap)| {
-            let sketch = index.get(doc)?;
-            // Hashers are uniform across an index; join cannot fail.
-            let sample = join_sketches(query, sketch).ok()?;
-            let est = (sample.len() >= min_sample)
-                .then(|| estimate(&sample, scratch))
-                .flatten();
-            Some((
-                Candidate {
-                    doc,
-                    sketch,
-                    overlap,
-                    sample,
-                },
-                est,
-            ))
-        })
-        .collect()
-}
-
-/// Stage 2 for an already-retrieved hit list, generic over the estimate
-/// kernel (the scored pipeline attaches `ScoredEstimate`s; the
-/// custom-closure and candidate APIs use cheaper kernels).
-fn join_map<'a, E: Send>(
-    index: &'a SketchIndex,
-    query: &CorrelationSketch,
-    hits: &[(DocId, usize)],
-    threads: usize,
-    min_sample: usize,
-    estimate: impl Fn(&JoinSample, &mut BootstrapScratch) -> Option<E> + Sync,
-) -> Vec<(Candidate<'a>, Option<E>)> {
-    let threads = threads.clamp(1, hits.len().max(1));
-    if threads == 1 {
-        return join_chunk(
-            index,
-            query,
-            hits,
-            min_sample,
-            &estimate,
-            &mut BootstrapScratch::new(),
-        );
-    }
-    let chunk_len = hits.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(hits.len());
-    let estimate = &estimate;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = hits
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    join_chunk(
-                        index,
-                        query,
-                        chunk,
-                        min_sample,
-                        estimate,
-                        &mut BootstrapScratch::new(),
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("query workers do not panic"));
-        }
-    });
-    out
-}
-
-/// Execute a top-k join-correlation query with a custom scorer closure
-/// (bypassing [`QueryOptions::scorer`]).
-///
-/// `scorer` maps a candidate and its (optional) correlation estimate to a
-/// ranking score; higher is better. Candidates are returned sorted by
-/// score (descending, NaN deterministically last, ties broken by overlap
-/// then sketch id then doc id), truncated to `opts.k` via bounded-heap
-/// selection (the scorer itself runs serially — join and estimation are
-/// what `opts.threads` parallelizes).
-///
-/// The closure consumes only the point estimate, so this path skips the
-/// confidence-interval computation entirely (no bootstrap work for the
-/// robust estimators) and the returned results carry no CI fields.
-#[must_use]
-pub fn top_k_with_scorer(
-    index: &SketchIndex,
-    query: &CorrelationSketch,
-    opts: &QueryOptions,
-    scorer: impl Fn(&Candidate<'_>, Option<f64>) -> f64,
-) -> Vec<QueryResult> {
-    let hits = index.overlap_candidates(query, opts.overlap_candidates);
-    let joined = join_map(
-        index,
-        query,
-        &hits,
-        opts.threads,
-        opts.min_sample,
-        |s, _| s.estimate(opts.estimator).ok(),
-    );
-    let rows = joined.into_iter().map(|(cand, est)| {
-        let score = scorer(&cand, est);
-        QueryResult {
-            doc: cand.doc,
-            id: cand.sketch.id().to_string(),
-            overlap: cand.overlap,
-            sample_size: cand.sample.len(),
-            estimate: est,
-            ci_lo: None,
-            ci_hi: None,
-            score,
-        }
-    });
-    crate::select::top_k_by(rows, opts.k, result_order)
-}
-
 /// One shard-local candidate row for scatter-gather serving: stage-2
 /// output (retrieval metadata + scored estimate) with the sketch id
 /// resolved, in retrieval order — what a worker ships to the
@@ -654,8 +487,8 @@ fn rank_rows(index: &SketchIndex, rows: Vec<ScoredRow>, opts: &QueryOptions) -> 
 }
 
 /// The ranking's total order: descending score with NaN ranked last —
-/// a degenerate candidate (constant column → undefined correlation →
-/// NaN through a custom scorer) sorts deterministically to the bottom
+/// a NaN score (an undefined correlation) sorts deterministically to
+/// the bottom
 /// instead of poisoning the selection heap — then descending overlap,
 /// then ascending sketch id (insertion-order independent), then doc id
 /// (reachable only through duplicate ids).
@@ -851,39 +684,19 @@ fn batch_one(
     (rank_rows(index, rows, opts), stats)
 }
 
-/// Fan a per-query closure out over contiguous chunks of `queries` —
-/// deterministic for every thread count, with one scratch per worker.
+/// Run `run_one` over every query, fanned out by [`chunked`] with one
+/// [`BatchScratch`] per worker.
 fn batch_map<T: Send>(
     queries: &[CorrelationSketch],
     threads: usize,
     run_one: impl Fn(&CorrelationSketch, &mut BatchScratch) -> T + Sync,
 ) -> Vec<T> {
-    let threads = threads.clamp(1, queries.len().max(1));
-    if threads == 1 {
-        let mut scratch = BatchScratch::default();
-        return queries.iter().map(|q| run_one(q, &mut scratch)).collect();
-    }
-    let chunk_len = queries.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(queries.len());
-    let run_one = &run_one;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch = BatchScratch::default();
-                    chunk
-                        .iter()
-                        .map(|q| run_one(q, &mut scratch))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("batch query workers do not panic"));
-        }
-    });
-    out
+    chunked(
+        queries,
+        threads,
+        &mut BatchScratch::default(),
+        |chunk, scratch| chunk.iter().map(|q| run_one(q, scratch)).collect(),
+    )
 }
 
 /// Execute many top-k join-correlation queries as one batch.
@@ -1069,27 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_scorer_changes_order() {
-        let (idx, q) = fixture();
-        // Score by overlap only: ranking degenerates to retrieval order.
-        let results = top_k_with_scorer(&idx, &q, &QueryOptions::default(), |cand, _| {
-            cand.overlap as f64
-        });
-        assert!(results[0].overlap >= results[1].overlap);
-    }
-
-    #[test]
-    fn retrieve_candidates_exposes_samples() {
-        let (idx, q) = fixture();
-        let cands = retrieve_candidates(&idx, &q, 100);
-        assert_eq!(cands.len(), 3);
-        for c in &cands {
-            assert_eq!(c.sample.len(), c.overlap);
-            assert!(!c.sample.is_empty());
-        }
-    }
-
-    #[test]
     fn reports_accompany_results() {
         let (idx, q) = fixture();
         let reported = top_k_with_reports(&idx, &q, &QueryOptions::default(), 0.05);
@@ -1156,21 +948,6 @@ mod tests {
             let reports = top_k_with_reports(&idx, &q, &opts, 0.05);
             let serial_reports = top_k_with_reports(&idx, &q, &serial, 0.05);
             assert_eq!(reports, serial_reports, "reports, threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_retrieve_candidates_identical_to_serial() {
-        let (idx, q) = wide_fixture(25);
-        let serial = retrieve_candidates(&idx, &q, 100);
-        for threads in [0usize, 2, 5, 64] {
-            let par = retrieve_candidates_threaded(&idx, &q, 100, threads);
-            assert_eq!(par.len(), serial.len(), "threads={threads}");
-            for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.doc, b.doc);
-                assert_eq!(a.overlap, b.overlap);
-                assert_eq!(a.sample, b.sample);
-            }
         }
     }
 
@@ -1341,9 +1118,8 @@ mod tests {
     }
 
     /// Regression for the NaN-poisoning bug class: constant-value
-    /// columns (undefined correlation) and a custom scorer that returns
-    /// NaN must rank last deterministically — never first, never a
-    /// panic.
+    /// columns (undefined correlation) and a NaN score must rank last
+    /// deterministically — never first, never a panic.
     #[test]
     fn constant_columns_and_nan_scores_rank_last() {
         let b = SketchBuilder::new(SketchConfig::with_size(128));
@@ -1391,16 +1167,11 @@ mod tests {
             assert_eq!(results[2].id, "flat-b/k/v");
         }
 
-        // A hostile custom scorer that emits NaN for the healthy column:
-        // NaN ranks below every real score, results never panic.
-        let nan_for_good = |cand: &Candidate<'_>, est: Option<f64>| {
-            if cand.sketch.id().starts_with("good") {
-                f64::NAN
-            } else {
-                est.map_or(-1.0, f64::abs)
-            }
-        };
-        let results = top_k_with_scorer(&idx, &query, &QueryOptions::default(), nan_for_good);
+        // A NaN score for the healthy column must rank below every real
+        // score through the selection heap — never first, never a panic.
+        let mut results = top_k_join_correlation(&idx, &query, &QueryOptions::default());
+        results[0].score = f64::NAN;
+        let results = crate::select::top_k_by(results, 3, result_order);
         assert_eq!(results.len(), 3);
         assert_eq!(
             results[2].id, "good/k/v",

@@ -25,7 +25,7 @@ pub mod plan;
 mod select;
 
 pub use engine::{
-    top_k_batch, top_k_batch_with_reports, Candidate, QueryOptions, QueryResult, ReportedResult,
+    top_k_batch, top_k_batch_with_reports, QueryOptions, QueryResult, ReportedResult,
     ShardCandidate,
 };
 pub use inverted::{DocId, SketchIndex};

@@ -1,7 +1,8 @@
 //! Bounded top-k selection.
 //!
-//! Both retrieval (`overlap_candidates`) and ranking (`top_k_with_scorer`)
-//! keep only `k` winners out of a much larger candidate stream. A full
+//! Retrieval (`overlap_candidates`), ranking (`rank_rows`) and the
+//! shard merge keep only `k` winners out of a much larger candidate
+//! stream. A full
 //! sort is `O(n log n)` over everything including the discarded tail;
 //! selecting through a size-`k` binary heap is `O(n log k)` and touches
 //! the tail exactly once. The comparator is a closure (total order), so

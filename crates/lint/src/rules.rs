@@ -339,6 +339,9 @@ fn r3_applies(path: &str) -> bool {
         "crates/server/src/api.rs",
         "crates/server/src/http.rs",
         "crates/server/src/coordinator.rs",
+        "crates/server/src/front.rs",
+        "crates/server/src/server.rs",
+        "crates/server/src/snapshot.rs",
     ]
     .iter()
     .any(|p| path.ends_with(p))
@@ -550,7 +553,8 @@ mod tests {
         assert!(r1_applies("crates/index/src/engine.rs"));
         assert!(!r1_applies("crates/server/src/api.rs"));
         assert!(r3_applies("crates/server/src/http.rs"));
-        assert!(!r3_applies("crates/server/src/server.rs"));
+        assert!(r3_applies("crates/server/src/server.rs"));
+        assert!(!r3_applies("crates/server/src/stats.rs"));
         assert!(r5_applies("crates/hashing/src/murmur3.rs"));
         assert!(!r5_applies("crates/server/src/server.rs"));
         assert!(r6_applies("crates/core/src/binary.rs"));

@@ -7,11 +7,9 @@
 //! panic containment) because it is literally the same loop.
 
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use sketch_obs::Trace;
 
 use crate::api;
 use crate::http::{self, RecvError, Request};
@@ -48,49 +46,6 @@ impl From<String> for Body {
     }
 }
 
-/// Close out a traced request, shared by both front ends: log it when
-/// it crossed the slow-query threshold, then splice the span tree into
-/// the response when the request asked for it. A disabled trace returns
-/// `(status, body)` untouched — the zero-cost path every normal request
-/// takes.
-///
-/// Callers must cache the *untraced* body before calling this: the
-/// splice happens last, so a traced request never changes what any
-/// other request (or its untraced twin) reads back.
-pub(crate) fn finish_traced(
-    stats: &ServerStats,
-    slow_query: Option<Duration>,
-    log_tag: &str,
-    trace: &Trace,
-    want_trace: bool,
-    status: u16,
-    body: Body,
-) -> (u16, Body) {
-    if !trace.is_enabled() {
-        return (status, body);
-    }
-    if let Some(threshold) = slow_query {
-        let total_us = trace.total_us();
-        let threshold_us = u64::try_from(threshold.as_micros()).unwrap_or(u64::MAX);
-        if total_us >= threshold_us {
-            ServerStats::bump(&stats.slow_queries);
-            eprintln!(
-                "{log_tag}: slow-query status={status} total_us={total_us} \
-                 threshold_us={threshold_us} trace={}",
-                trace.render_json()
-            );
-        }
-    }
-    if want_trace {
-        ServerStats::bump(&stats.traced);
-        if status < 300 {
-            let spliced = api::attach_trace(body.as_str(), &trace.render_json());
-            return (status, Body::Owned(spliced));
-        }
-    }
-    (status, body)
-}
-
 /// Per-connection deadlines, taken from the front end's config.
 #[derive(Clone, Copy)]
 pub(crate) struct ConnLimits {
@@ -100,15 +55,16 @@ pub(crate) struct ConnLimits {
 
 /// One worker's accept loop: `accept → serve connection (keep-alive) →
 /// accept`, with exponential idle backoff and per-connection panic
-/// containment. `route` dispatches one request to `(status, body,
-/// allow-header)`; `requests`/`errors` are the front end's counters.
+/// containment. `route` dispatches one request, given its path without
+/// the query string, to `(status, body)`; a 405 on a path listed in
+/// `get_paths` carries `Allow: GET`, on any other path `Allow: POST`.
 pub(crate) fn accept_loop(
     listener: &TcpListener,
     shutdown: &AtomicBool,
-    requests: &AtomicU64,
-    errors: &AtomicU64,
+    stats: &ServerStats,
     limits: ConnLimits,
-    route: impl Fn(&Request) -> (u16, Body, Option<&'static str>),
+    get_paths: &[&str],
+    route: impl Fn(&Request, &str) -> (u16, Body),
 ) {
     // Idle accept polling backs off exponentially (1 ms → 25 ms) so a
     // quiet daemon isn't waking thousands of times a second, while a
@@ -126,10 +82,10 @@ pub(crate) fn accept_loop(
                 // escaped panic would permanently shrink capacity until
                 // the server silently stopped accepting.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    serve_connection(stream, shutdown, requests, errors, limits, &route);
+                    serve_connection(stream, shutdown, stats, limits, get_paths, &route);
                 }));
                 if result.is_err() {
-                    ServerStats::bump(errors);
+                    ServerStats::bump(&stats.errors);
                     eprintln!("sketch-serve: worker caught a panic while serving a connection");
                 }
             }
@@ -145,10 +101,10 @@ pub(crate) fn accept_loop(
 fn serve_connection(
     mut stream: TcpStream,
     shutdown: &AtomicBool,
-    requests: &AtomicU64,
-    errors: &AtomicU64,
+    stats: &ServerStats,
     limits: ConnLimits,
-    route: &impl Fn(&Request) -> (u16, Body, Option<&'static str>),
+    get_paths: &[&str],
+    route: &impl Fn(&Request, &str) -> (u16, Body),
 ) {
     let request_timeout = (!limits.request_timeout.is_zero()).then_some(limits.request_timeout);
     // Short read *and* write timeouts turn blocking syscalls into
@@ -178,10 +134,23 @@ fn serve_connection(
             request_timeout,
         ) {
             Ok(req) => {
-                let (status, body, allow) = route(&req);
-                ServerStats::bump(requests);
+                // Probes and load balancers routinely append query
+                // parameters (`/healthz?probe=1`); routing only cares
+                // about the path.
+                let path = req
+                    .path
+                    .split_once('?')
+                    .map_or(req.path.as_str(), |(path, _query)| path);
+                let (status, body) = route(&req, path);
+                // RFC 9110 §15.5.6: a 405 must carry `Allow`.
+                let allow = (status == 405).then_some(if get_paths.contains(&path) {
+                    "GET"
+                } else {
+                    "POST"
+                });
+                ServerStats::bump(&stats.requests);
                 if status >= 300 {
-                    ServerStats::bump(errors);
+                    ServerStats::bump(&stats.errors);
                 }
                 // RFC 9110: a response to HEAD must not carry a body —
                 // a spec-compliant peer would leave the unread bytes in
@@ -211,8 +180,8 @@ fn serve_connection(
             }
             Err(RecvError::Closed | RecvError::Shutdown | RecvError::Io(_)) => return,
             Err(RecvError::Malformed(msg)) => {
-                ServerStats::bump(requests);
-                ServerStats::bump(errors);
+                ServerStats::bump(&stats.requests);
+                ServerStats::bump(&stats.errors);
                 let _ = http::write_response_bounded(
                     &mut stream,
                     &http::ResponsePayload {
@@ -228,8 +197,8 @@ fn serve_connection(
                 return;
             }
             Err(RecvError::TimedOut) => {
-                ServerStats::bump(requests);
-                ServerStats::bump(errors);
+                ServerStats::bump(&stats.requests);
+                ServerStats::bump(&stats.errors);
                 let _ = http::write_response_bounded(
                     &mut stream,
                     &http::ResponsePayload {
@@ -245,8 +214,8 @@ fn serve_connection(
                 return;
             }
             Err(RecvError::TooLarge) => {
-                ServerStats::bump(requests);
-                ServerStats::bump(errors);
+                ServerStats::bump(&stats.requests);
+                ServerStats::bump(&stats.errors);
                 let _ = http::write_response_bounded(
                     &mut stream,
                     &http::ResponsePayload {
@@ -266,74 +235,5 @@ fn serve_connection(
         if shutdown.load(Ordering::Relaxed) {
             return;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disabled_trace_passes_the_body_through_untouched() {
-        let stats = ServerStats::default();
-        let trace = Trace::disabled();
-        let (status, body) = finish_traced(
-            &stats,
-            Some(Duration::ZERO),
-            "test",
-            &trace,
-            false,
-            200,
-            Body::Owned("{\"a\":1}".to_string()),
-        );
-        assert_eq!(status, 200);
-        assert_eq!(body.as_str(), "{\"a\":1}");
-        assert_eq!(stats.slow_queries.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.traced.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn traced_success_gets_the_span_tree_spliced_in() {
-        let stats = ServerStats::default();
-        let mut trace = Trace::enabled();
-        let g = trace.begin("parse");
-        trace.end(g);
-        let (status, body) = finish_traced(
-            &stats,
-            None,
-            "test",
-            &trace,
-            true,
-            200,
-            Body::Owned("{\"a\":1}".to_string()),
-        );
-        assert_eq!(status, 200);
-        assert!(
-            body.as_str().starts_with("{\"a\":1,\"trace\":{"),
-            "{}",
-            body.as_str()
-        );
-        assert!(body.as_str().contains("\"name\":\"parse\""));
-        assert_eq!(stats.traced.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn traced_errors_count_but_keep_the_error_body() {
-        let stats = ServerStats::default();
-        let trace = Trace::enabled();
-        let (status, body) = finish_traced(
-            &stats,
-            Some(Duration::ZERO),
-            "test",
-            &trace,
-            true,
-            400,
-            Body::Owned("{\"error\":\"x\"}".to_string()),
-        );
-        assert_eq!(status, 400);
-        assert_eq!(body.as_str(), "{\"error\":\"x\"}");
-        assert_eq!(stats.traced.load(Ordering::Relaxed), 1);
-        // A zero threshold marks every traced request slow.
-        assert_eq!(stats.slow_queries.load(Ordering::Relaxed), 1);
     }
 }

@@ -57,9 +57,9 @@ use sketch_index::{merge_shard_candidates, DocId, ReportedResult, ShardCandidate
 use sketch_obs::{promtext, Trace};
 
 use crate::api::{self, BatchRequest, QueryBody, QueryParams, QueryRequest, ShardState};
-use crate::cache::{self, ParseMemo, QueryCache};
 use crate::client::HttpClient;
 use crate::conn::{self, Body, ConnLimits};
+use crate::front::{Endpoint, Front};
 use crate::http::Request;
 use crate::metrics;
 use crate::server::ServerError;
@@ -243,19 +243,8 @@ impl WorkerSlot {
 /// Everything the front-end threads and the health poller share.
 struct Ctx {
     slots: Vec<WorkerSlot>,
-    defaults: QueryParams,
-    cache: QueryCache,
-    /// Raw-body-hash → canonical fingerprint memos: a repeated
-    /// byte-identical body skips the JSON parse in front of the cache
-    /// (see [`crate::cache::ParseMemo`]). Both memos also carry the
-    /// request's trace flag (the hit path never parses, but must still
-    /// know whether to splice a span tree in); the batch memo
-    /// additionally carries the query count the hit path accounts.
-    memo_query: ParseMemo<(u128, bool)>,
-    memo_batch: ParseMemo<(u128, u64, bool)>,
-    slow_query: Option<Duration>,
+    front: Front,
     worker_timeout: Duration,
-    stats: ServerStats,
     shutdown: AtomicBool,
 }
 
@@ -301,7 +290,7 @@ impl CoordinatorHandle {
     /// Live coordinator counters.
     #[must_use]
     pub fn stats(&self) -> &ServerStats {
-        &self.ctx.stats
+        &self.ctx.front.stats
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests,
@@ -316,7 +305,10 @@ impl CoordinatorHandle {
             let _ = p.join();
         }
         let hash = api::generation_hash(&self.ctx.known_generations());
-        self.ctx.stats.to_json(hash, self.ctx.cache.len())
+        self.ctx
+            .front
+            .stats
+            .to_json(hash, self.ctx.front.cache.len())
     }
 }
 
@@ -382,13 +374,13 @@ pub fn start_coordinator(config: CoordinatorConfig) -> Result<CoordinatorHandle,
 
     let ctx = Arc::new(Ctx {
         slots,
-        defaults: config.defaults,
-        cache: QueryCache::new(config.cache_capacity),
-        memo_query: ParseMemo::new(cache::memo_capacity(config.cache_capacity)),
-        memo_batch: ParseMemo::new(cache::memo_capacity(config.cache_capacity)),
-        slow_query: config.slow_query,
+        front: Front::new(
+            config.defaults,
+            config.cache_capacity,
+            config.slow_query,
+            "sketch-coord",
+        ),
         worker_timeout: config.worker_timeout,
-        stats: ServerStats::default(),
         shutdown: AtomicBool::new(false),
     });
 
@@ -396,25 +388,30 @@ pub fn start_coordinator(config: CoordinatorConfig) -> Result<CoordinatorHandle,
         keep_alive_idle: config.keep_alive_idle,
         request_timeout: config.request_timeout,
     };
+    // A failed spawn flags shutdown so the threads already started exit.
+    let abort = |e: std::io::Error| {
+        ctx.shutdown.store(true, Ordering::SeqCst);
+        e
+    };
     let workers = (0..config.threads.max(1))
         .map(|i| {
             let listener = listener.try_clone()?;
             let ctx = Arc::clone(&ctx);
-            Ok(std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name(format!("sketch-coord-{i}"))
                 .spawn(move || {
                     conn::accept_loop(
                         &listener,
                         &ctx.shutdown,
-                        &ctx.stats.requests,
-                        &ctx.stats.errors,
+                        &ctx.front.stats,
                         limits,
-                        |req| route(&ctx, req),
+                        GET_PATHS,
+                        |req, path| route(&ctx, req, path),
                     );
                 })
-                .expect("spawning a coordinator thread succeeds"))
         })
-        .collect::<Result<Vec<_>, std::io::Error>>()?;
+        .collect::<Result<Vec<_>, std::io::Error>>()
+        .map_err(abort)?;
 
     let poller = {
         let ctx = Arc::clone(&ctx);
@@ -423,7 +420,7 @@ pub fn start_coordinator(config: CoordinatorConfig) -> Result<CoordinatorHandle,
         std::thread::Builder::new()
             .name("sketch-coord-poll".to_string())
             .spawn(move || poller_loop(&ctx, interval, timeout))
-            .expect("spawning the health poller succeeds")
+            .map_err(abort)?
     };
 
     Ok(CoordinatorHandle {
@@ -453,40 +450,33 @@ fn poller_loop(ctx: &Ctx, interval: Duration, timeout: Duration) {
                 }
             });
             if ctx.known_generations() != before {
-                ServerStats::bump(&ctx.stats.refreshes);
+                ServerStats::bump(&ctx.front.stats.refreshes);
             }
         }
         std::thread::sleep(tick);
     }
 }
 
-/// Dispatch one public request (same 405/404 discipline as the server).
-fn route(ctx: &Ctx, req: &Request) -> (u16, Body, Option<&'static str>) {
-    let path = req
-        .path
-        .split_once('?')
-        .map_or(req.path.as_str(), |(path, _query)| path);
-    let (status, body) = route_path(ctx, req, path);
-    let allow = (status == 405).then_some(match path {
-        "/healthz" | "/stats" | "/metrics" => "GET",
-        _ => "POST",
-    });
-    (status, body, allow)
-}
+/// The endpoints that answer only `GET` (a 405 elsewhere allows `POST`).
+const GET_PATHS: &[&str] = &["/healthz", "/stats", "/metrics"];
 
-fn route_path(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
+/// Dispatch one public request (same 405/404 discipline as the server).
+fn route(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
     match (req.method.as_str(), path) {
         ("GET", "/healthz") => {
-            ServerStats::bump(&ctx.stats.healthz);
+            ServerStats::bump(&ctx.front.stats.healthz);
             (200, Body::Owned(healthz_body(ctx)))
         }
         ("GET", "/stats") => {
-            ServerStats::bump(&ctx.stats.stats);
+            ServerStats::bump(&ctx.front.stats.stats);
             let hash = api::generation_hash(&ctx.known_generations());
-            (200, Body::Owned(ctx.stats.to_json(hash, ctx.cache.len())))
+            (
+                200,
+                Body::Owned(ctx.front.stats.to_json(hash, ctx.front.cache.len())),
+            )
         }
         ("GET", "/metrics") => {
-            ServerStats::bump(&ctx.stats.metrics);
+            ServerStats::bump(&ctx.front.stats.metrics);
             let shards: Vec<metrics::ShardView> = ctx
                 .slots
                 .iter()
@@ -503,37 +493,17 @@ fn route_path(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
                 200,
                 Body::Text(
                     metrics::render_coordinator(
-                        &ctx.stats,
+                        &ctx.front.stats,
                         &shards,
-                        ctx.cache.len() as u64,
-                        ctx.cache.evictions(),
+                        ctx.front.cache.len() as u64,
+                        ctx.front.cache.evictions(),
                     ),
                     promtext::CONTENT_TYPE,
                 ),
             )
         }
-        ("POST", "/query") => {
-            ServerStats::bump(&ctx.stats.query);
-            let t0 = Instant::now();
-            let response = handle_query(ctx, &req.body);
-            if response.0 < 300 {
-                ctx.stats
-                    .latency
-                    .record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            response
-        }
-        ("POST", "/query_batch") => {
-            ServerStats::bump(&ctx.stats.query_batch);
-            let t0 = Instant::now();
-            let response = handle_batch(ctx, &req.body);
-            if response.0 < 300 {
-                ctx.stats
-                    .latency
-                    .record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            response
-        }
+        ("POST", "/query") => handle_query(ctx, &req.body),
+        ("POST", "/query_batch") => handle_batch(ctx, &req.body),
         (_, "/healthz" | "/stats" | "/metrics" | "/query" | "/query_batch") => {
             (405, Body::Owned(api::render_error("method not allowed")))
         }
@@ -802,20 +772,6 @@ fn gather(
         .collect())
 }
 
-/// Close out a public request: slow-query logging and the trace splice,
-/// both no-ops unless this request enabled tracing.
-fn close(ctx: &Ctx, trace: &Trace, want_trace: bool, status: u16, body: Body) -> (u16, Body) {
-    conn::finish_traced(
-        &ctx.stats,
-        ctx.slow_query,
-        "sketch-coord",
-        trace,
-        want_trace,
-        status,
-        body,
-    )
-}
-
 /// Replay the per-shard scatter round trips (measured inside the
 /// scatter threads) into the trace as indexed `shard_rtt` spans,
 /// nested under the still-open `scatter` span.
@@ -829,227 +785,115 @@ fn record_shard_rtts(trace: &mut Trace, fetches: &[ShardFetch]) {
 }
 
 fn handle_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let raw = api::raw_fingerprint(body);
     let generation = api::generation_hash(&ctx.known_generations());
-    let mut trace = Trace::new(ctx.slow_query.is_some());
-    // A memo hit proves these exact bytes parsed to this canonical
-    // fingerprint (and trace flag) before — skip the parse when the
-    // answer is cached.
-    if let Some((fp, want_trace)) = ctx.memo_query.get(raw) {
-        if want_trace && !trace.is_enabled() {
-            trace = Trace::enabled();
-        }
-        let guard = trace.begin("cache_probe");
-        let cached = ctx.cache.get(&(fp, generation));
-        trace.end(guard);
-        if let Some(cached) = cached {
-            ServerStats::bump(&ctx.stats.cache_hits);
-            return close(ctx, &trace, want_trace, 200, Body::Shared(cached));
-        }
-    } else if !trace.is_enabled() && api::wants_trace_hint(body) {
-        trace = Trace::enabled();
-    }
-    let guard = trace.begin("parse");
-    let parsed = QueryRequest::parse(body, &ctx.defaults);
-    trace.end(guard);
-    let req = match parsed {
-        Ok(req) => req,
-        Err(msg) => {
-            return close(
+    ctx.front.serve(
+        Endpoint::Query,
+        body,
+        generation,
+        QueryRequest::parse,
+        |req, trace| {
+            let wire = api::render_shard_query_request(&req.body, &req.params);
+            let params = req.params;
+            scatter_gather(
                 ctx,
-                &trace,
-                false,
-                400,
-                Body::Owned(api::render_error(&msg)),
+                trace,
+                "/shard_query",
+                &wire,
+                &[req.body],
+                &params,
+                |shards, mut gathers| {
+                    let g = gathers.remove(0);
+                    api::render_coordinator_response(
+                        shards, &params, g.merged, g.shipped, &g.results,
+                    )
+                },
             )
-        }
-    };
-    if req.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
-    }
-    let want_trace = req.trace;
-    let fingerprint = req.fingerprint();
-    ctx.memo_query.put(raw, (fingerprint, want_trace));
-    let guard = trace.begin("cache_probe");
-    let cached = ctx.cache.get(&(fingerprint, generation));
-    trace.end(guard);
-    if let Some(cached) = cached {
-        ServerStats::bump(&ctx.stats.cache_hits);
-        return close(ctx, &trace, want_trace, 200, Body::Shared(cached));
-    }
-    ServerStats::bump(&ctx.stats.cache_misses);
-
-    let params = req.params;
-    let wire = api::render_shard_query_request(&req.body, &params);
-    let bodies = [req.body];
-    for attempt in 0..MAX_ATTEMPTS {
-        let guard = trace.begin_indexed("scatter", attempt as u32);
-        let fetches = scatter(ctx, "/shard_query", &wire, 1);
-        record_shard_rtts(&mut trace, &fetches);
-        trace.end(guard);
-        if fetches.iter().all(|f| f.degraded) {
-            return close(
-                ctx,
-                &trace,
-                want_trace,
-                503,
-                Body::Owned(api::render_error("every shard is unreachable")),
-            );
-        }
-        let guard = trace.begin_indexed("gather", attempt as u32);
-        let gathered = gather(ctx, &fetches, &bodies, &params);
-        trace.end(guard);
-        let Ok(mut gathers) = gathered else {
-            continue;
-        };
-        let g = gathers.remove(0);
-        trace.note("merged", g.merged as u64);
-        trace.note("shipped", g.shipped as u64);
-        trace.note(
-            "degraded_shards",
-            fetches.iter().filter(|f| f.degraded).count() as u64,
-        );
-        let shards: Vec<ShardState> = fetches.iter().map(ShardFetch::shard_state).collect();
-        let guard = trace.begin("render");
-        let rendered =
-            api::render_coordinator_response(&shards, &params, g.merged, g.shipped, &g.results);
-        trace.end(guard);
-        let (status, answered) = finish(ctx, &fetches, fingerprint, rendered);
-        return close(ctx, &trace, want_trace, status, answered);
-    }
-    close(
-        ctx,
-        &trace,
-        want_trace,
-        503,
-        Body::Owned(api::render_error(
-            "shard generations kept changing mid-query; retry",
-        )),
+        },
     )
 }
 
 fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let raw = api::raw_fingerprint(body);
     let generation = api::generation_hash(&ctx.known_generations());
-    let mut trace = Trace::new(ctx.slow_query.is_some());
-    if let Some((fp, batched, want_trace)) = ctx.memo_batch.get(raw) {
-        if want_trace && !trace.is_enabled() {
-            trace = Trace::enabled();
-        }
-        let guard = trace.begin("cache_probe");
-        let cached = ctx.cache.get(&(fp, generation));
-        trace.end(guard);
-        if let Some(cached) = cached {
-            ServerStats::bump(&ctx.stats.cache_hits);
-            ctx.stats
-                .batched_queries
-                .fetch_add(batched, Ordering::Relaxed);
-            return close(ctx, &trace, want_trace, 200, Body::Shared(cached));
-        }
-    } else if !trace.is_enabled() && api::wants_trace_hint(body) {
-        trace = Trace::enabled();
-    }
-    let guard = trace.begin("parse");
-    let parsed = BatchRequest::parse(body, &ctx.defaults);
-    trace.end(guard);
-    let req = match parsed {
-        Ok(req) => req,
-        Err(msg) => {
-            return close(
+    ctx.front.serve(
+        Endpoint::Batch,
+        body,
+        generation,
+        BatchRequest::parse,
+        |req, trace| {
+            let wire = api::render_shard_batch_request(&req.queries, &req.params);
+            scatter_gather(
                 ctx,
-                &trace,
-                false,
-                400,
-                Body::Owned(api::render_error(&msg)),
+                trace,
+                "/shard_query_batch",
+                &wire,
+                &req.queries,
+                &req.params,
+                |shards, gathers| {
+                    let merged: Vec<usize> = gathers.iter().map(|g| g.merged).collect();
+                    let shipped: Vec<usize> = gathers.iter().map(|g| g.shipped).collect();
+                    let answers: Vec<Vec<ReportedResult>> =
+                        gathers.into_iter().map(|g| g.results).collect();
+                    api::render_coordinator_batch_response(
+                        shards,
+                        &req.params,
+                        &merged,
+                        &shipped,
+                        &answers,
+                    )
+                },
             )
-        }
-    };
-    if req.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
-    }
-    let want_trace = req.trace;
-    ctx.stats
-        .batched_queries
-        .fetch_add(req.queries.len() as u64, Ordering::Relaxed);
-    let fingerprint = req.fingerprint();
-    ctx.memo_batch
-        .put(raw, (fingerprint, req.queries.len() as u64, want_trace));
-    let guard = trace.begin("cache_probe");
-    let cached = ctx.cache.get(&(fingerprint, generation));
-    trace.end(guard);
-    if let Some(cached) = cached {
-        ServerStats::bump(&ctx.stats.cache_hits);
-        return close(ctx, &trace, want_trace, 200, Body::Shared(cached));
-    }
-    ServerStats::bump(&ctx.stats.cache_misses);
+        },
+    )
+}
 
-    let wire = api::render_shard_batch_request(&req.queries, &req.params);
+/// The miss path shared by `/query` and `/query_batch`: scatter `wire`
+/// to every worker's `path`, gather and merge, and re-scatter (up to
+/// [`MAX_ATTEMPTS`] times) while a mutation races the two phases.
+/// Returns `(status, body, generation to cache it under)`: only a fully
+/// healthy answer is cached, and only under the *actual* phase-1
+/// generation vector (which may be newer than the one the lookup used),
+/// so a cached body can never be replayed against a different mixture.
+fn scatter_gather(
+    ctx: &Ctx,
+    trace: &mut Trace,
+    path: &str,
+    wire: &str,
+    bodies: &[QueryBody],
+    params: &QueryParams,
+    render: impl FnOnce(&[ShardState], Vec<Gather>) -> String,
+) -> (u16, String, Option<u64>) {
     for attempt in 0..MAX_ATTEMPTS {
         let guard = trace.begin_indexed("scatter", attempt as u32);
-        let fetches = scatter(ctx, "/shard_query_batch", &wire, req.queries.len());
-        record_shard_rtts(&mut trace, &fetches);
+        let fetches = scatter(ctx, path, wire, bodies.len());
+        record_shard_rtts(trace, &fetches);
         trace.end(guard);
         if fetches.iter().all(|f| f.degraded) {
-            return close(
-                ctx,
-                &trace,
-                want_trace,
-                503,
-                Body::Owned(api::render_error("every shard is unreachable")),
-            );
+            return (503, api::render_error("every shard is unreachable"), None);
         }
         let guard = trace.begin_indexed("gather", attempt as u32);
-        let gathered = gather(ctx, &fetches, &req.queries, &req.params);
+        let gathered = gather(ctx, &fetches, bodies, params);
         trace.end(guard);
         let Ok(gathers) = gathered else {
             continue;
         };
         trace.note("merged", gathers.iter().map(|g| g.merged as u64).sum());
         trace.note("shipped", gathers.iter().map(|g| g.shipped as u64).sum());
-        trace.note(
-            "degraded_shards",
-            fetches.iter().filter(|f| f.degraded).count() as u64,
-        );
+        let degraded = fetches.iter().filter(|f| f.degraded).count();
+        trace.note("degraded_shards", degraded as u64);
         let shards: Vec<ShardState> = fetches.iter().map(ShardFetch::shard_state).collect();
-        let merged: Vec<usize> = gathers.iter().map(|g| g.merged).collect();
-        let shipped: Vec<usize> = gathers.iter().map(|g| g.shipped).collect();
-        let answers: Vec<Vec<ReportedResult>> = gathers.into_iter().map(|g| g.results).collect();
         let guard = trace.begin("render");
-        let rendered = api::render_coordinator_batch_response(
-            &shards,
-            &req.params,
-            &merged,
-            &shipped,
-            &answers,
-        );
+        let rendered = render(&shards, gathers);
         trace.end(guard);
-        let (status, answered) = finish(ctx, &fetches, fingerprint, rendered);
-        return close(ctx, &trace, want_trace, status, answered);
-    }
-    close(
-        ctx,
-        &trace,
-        want_trace,
-        503,
-        Body::Owned(api::render_error(
-            "shard generations kept changing mid-query; retry",
-        )),
-    )
-}
-
-/// Account for degradation and cache the rendered body — but only a
-/// fully healthy answer, and only under the *actual* phase-1 generation
-/// vector (which may be newer than the one the lookup used), so a
-/// cached body can never be replayed against a different mixture.
-fn finish(ctx: &Ctx, fetches: &[ShardFetch], fingerprint: u128, rendered: String) -> (u16, Body) {
-    if fetches.iter().any(|f| f.degraded) {
-        ServerStats::bump(&ctx.stats.degraded);
-    } else {
+        if degraded > 0 {
+            ServerStats::bump(&ctx.front.stats.degraded);
+            return (200, rendered, None);
+        }
         let actual: Vec<(u64, u64)> = fetches.iter().map(|f| (f.generation, f.sketches)).collect();
-        ctx.cache.put(
-            (fingerprint, api::generation_hash(&actual)),
-            Arc::from(rendered.as_str()),
-        );
+        return (200, rendered, Some(api::generation_hash(&actual)));
     }
-    (200, Body::Owned(rendered))
+    (
+        503,
+        api::render_error("shard generations kept changing mid-query; retry"),
+        None,
+    )
 }

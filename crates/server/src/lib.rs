@@ -10,13 +10,23 @@
 //!
 //! # Endpoints
 //!
-//! | method & path        | purpose |
-//! |----------------------|---------|
-//! | `POST /query`        | top-k join-correlation query with uncertainty reports |
-//! | `POST /query_batch`  | many queries ranked under shared parameters |
-//! | `GET /corpus`        | store generation + shard/tombstone shape |
-//! | `GET /healthz`       | liveness + served generation |
-//! | `GET /stats`         | request counters, cache hits, latency percentiles |
+//! Two front ends share one connection loop (`conn.rs`) and one
+//! `/query` + `/query_batch` front half (`front.rs`): the single-store
+//! server ([`server`]) and the scatter-gather coordinator
+//! ([`coordinator`]), which fans queries out to servers' internal
+//! `/shard_*` endpoints.
+//!
+//! | method & path              | served by   | purpose |
+//! |----------------------------|-------------|---------|
+//! | `POST /query`              | both        | top-k join-correlation query with uncertainty reports |
+//! | `POST /query_batch`        | both        | many queries ranked under shared parameters |
+//! | `GET /healthz`             | both        | liveness + served generation (per shard on the coordinator) |
+//! | `GET /stats`               | both        | request counters, cache hits, latency percentiles |
+//! | `GET /metrics`             | both        | Prometheus text exposition of the same counters |
+//! | `GET /corpus`              | server      | store generation + shard/tombstone shape |
+//! | `POST /shard_query`        | server      | internal: one scattered `/query`'s shard-local candidate rows |
+//! | `POST /shard_query_batch`  | server      | internal: the same for every query of a `/query_batch` |
+//! | `POST /shard_reports`      | server      | internal: uncertainty reports for the docs the merge shipped |
 //!
 //! # Design invariants
 //!
@@ -45,6 +55,7 @@ pub mod cache;
 pub mod client;
 mod conn;
 pub mod coordinator;
+mod front;
 pub mod http;
 mod metrics;
 pub mod server;

@@ -37,12 +37,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sketch_index::engine;
-use sketch_obs::{promtext, Trace};
+use sketch_obs::promtext;
 use sketch_store::StoreError;
 
 use crate::api::{self, HashedBatch, HashedQuery, HashedRequest, QueryParams};
-use crate::cache::{self, ParseMemo, QueryCache};
 use crate::conn::{self, Body, ConnLimits};
+use crate::front::{Endpoint, Front};
 use crate::http::Request;
 use crate::metrics;
 use crate::snapshot::{refresh_with_generation, IndexSnapshot, RefreshOutcome, SnapshotCell};
@@ -147,18 +147,8 @@ impl From<std::io::Error> for ServerError {
 struct Ctx {
     store: PathBuf,
     load_threads: usize,
-    defaults: QueryParams,
     cell: SnapshotCell,
-    cache: QueryCache,
-    /// Raw-body-hash → canonical fingerprint memos, so a repeated
-    /// byte-identical body skips the JSON parse in front of the cache
-    /// (the parse dominates the warm path on large queries). Both memos
-    /// also carry the request's trace flag (the hit path never parses,
-    /// but must still know whether to splice a span tree in); the batch
-    /// memo additionally carries the query count the hit path accounts.
-    memo_query: ParseMemo<(u128, bool)>,
-    memo_batch: ParseMemo<(u128, u64, bool)>,
-    slow_query: Option<Duration>,
+    front: Front,
     poll_interval: Duration,
     /// `/corpus` body cached per served generation, so polling
     /// dashboards don't re-stat the store (manifest + every delta
@@ -168,7 +158,6 @@ struct Ctx {
     /// refresher pins the served generation — hiding exactly the
     /// disk-vs-served divergence a dashboard needs to see.
     corpus_info: Mutex<Option<(u64, Instant, Arc<str>)>>,
-    stats: ServerStats,
     shutdown: AtomicBool,
 }
 
@@ -204,7 +193,7 @@ impl ServerHandle {
     /// Live server counters.
     #[must_use]
     pub fn stats(&self) -> &ServerStats {
-        &self.ctx.stats
+        &self.ctx.front.stats
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish,
@@ -220,7 +209,10 @@ impl ServerHandle {
             let _ = r.join();
         }
         let generation = self.ctx.cell.load().generation();
-        self.ctx.stats.to_json(generation, self.ctx.cache.len())
+        self.ctx
+            .front
+            .stats
+            .to_json(generation, self.ctx.front.cache.len())
     }
 }
 
@@ -241,22 +233,21 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let ctx = Arc::new(Ctx {
         store: config.store,
         load_threads: config.load_threads,
-        defaults: config.defaults,
         cell: SnapshotCell::new(snapshot),
-        cache: QueryCache::new(config.cache_capacity),
-        // With caching disabled the memo could never produce a hit, so
-        // disable it too rather than pay its insert on every miss.
-        memo_query: ParseMemo::new(cache::memo_capacity(config.cache_capacity)),
-        memo_batch: ParseMemo::new(cache::memo_capacity(config.cache_capacity)),
-        slow_query: config.slow_query,
+        front: Front::new(
+            config.defaults,
+            config.cache_capacity,
+            config.slow_query,
+            "sketch-serve",
+        ),
         poll_interval: config.poll_interval,
         corpus_info: Mutex::new(None),
-        stats: ServerStats::default(),
         shutdown: AtomicBool::new(false),
     });
     // Until the refresher's first poll, the freshest on-disk generation
     // the process has observed is the one it just loaded.
-    ctx.stats
+    ctx.front
+        .stats
         .store_generation
         .store(initial_generation, Ordering::Relaxed);
 
@@ -264,25 +255,30 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         keep_alive_idle: config.keep_alive_idle,
         request_timeout: config.request_timeout,
     };
+    // A failed spawn flags shutdown so the threads already started exit.
+    let abort = |e: std::io::Error| {
+        ctx.shutdown.store(true, Ordering::SeqCst);
+        e
+    };
     let workers = (0..config.threads.max(1))
         .map(|i| {
             let listener = listener.try_clone()?;
             let ctx = Arc::clone(&ctx);
-            Ok(std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name(format!("sketch-serve-{i}"))
                 .spawn(move || {
                     conn::accept_loop(
                         &listener,
                         &ctx.shutdown,
-                        &ctx.stats.requests,
-                        &ctx.stats.errors,
+                        &ctx.front.stats,
                         limits,
-                        |req| route(&ctx, req),
+                        GET_PATHS,
+                        |req, path| route(&ctx, req, path),
                     );
                 })
-                .expect("spawning a worker thread succeeds"))
         })
-        .collect::<Result<Vec<_>, std::io::Error>>()?;
+        .collect::<Result<Vec<_>, std::io::Error>>()
+        .map_err(abort)?;
 
     let refresher = {
         let ctx = Arc::clone(&ctx);
@@ -290,7 +286,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         std::thread::Builder::new()
             .name("sketch-serve-refresh".to_string())
             .spawn(move || refresher_loop(&ctx, interval))
-            .expect("spawning the refresher thread succeeds")
+            .map_err(abort)?
     };
 
     Ok(ServerHandle {
@@ -320,13 +316,16 @@ fn refresher_loop(ctx: &Ctx, interval: Duration) {
                     // Even an Unchanged poll refreshes the on-disk view,
                     // keeping the /metrics generation-lag gauge honest
                     // while a later refresh is failing.
-                    ctx.stats
+                    ctx.front
+                        .stats
                         .store_generation
                         .store(store_generation, Ordering::Relaxed);
                     match outcome {
                         RefreshOutcome::Unchanged => {}
-                        RefreshOutcome::Refreshed(_) => ServerStats::bump(&ctx.stats.refreshes),
-                        RefreshOutcome::Rebuilt => ServerStats::bump(&ctx.stats.rebuilds),
+                        RefreshOutcome::Refreshed(_) => {
+                            ServerStats::bump(&ctx.front.stats.refreshes);
+                        }
+                        RefreshOutcome::Rebuilt => ServerStats::bump(&ctx.front.stats.rebuilds),
                     }
                 }
                 Ok(Err(e)) => {
@@ -335,7 +334,7 @@ fn refresher_loop(ctx: &Ctx, interval: Duration) {
                     eprintln!("sketch-serve: refresh failed (will retry): {e}");
                 }
                 Err(_) => {
-                    ServerStats::bump(&ctx.stats.errors);
+                    ServerStats::bump(&ctx.front.stats.errors);
                     eprintln!("sketch-serve: refresh panicked (will retry)");
                 }
             }
@@ -344,28 +343,14 @@ fn refresher_loop(ctx: &Ctx, interval: Duration) {
     }
 }
 
-/// Dispatch one request. Returns `(status, body, allow)` — `allow` is
-/// the `Allow` header value, set only on 405 (RFC 9110 §15.5.6
-/// requires it).
-fn route(ctx: &Ctx, req: &Request) -> (u16, Body, Option<&'static str>) {
-    // Probes and load balancers routinely append query parameters
-    // (`/healthz?probe=1`); routing only cares about the path.
-    let path = req
-        .path
-        .split_once('?')
-        .map_or(req.path.as_str(), |(path, _query)| path);
-    let (status, body) = route_path(ctx, req, path);
-    let allow = (status == 405).then_some(match path {
-        "/healthz" | "/stats" | "/corpus" | "/metrics" => "GET",
-        _ => "POST",
-    });
-    (status, body, allow)
-}
+/// The endpoints that answer only `GET` (a 405 elsewhere allows `POST`).
+const GET_PATHS: &[&str] = &["/healthz", "/stats", "/corpus", "/metrics"];
 
-fn route_path(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
+/// Dispatch one request by method and path.
+fn route(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
     match (req.method.as_str(), path) {
         ("GET", "/healthz") => {
-            ServerStats::bump(&ctx.stats.healthz);
+            ServerStats::bump(&ctx.front.stats.healthz);
             let snap = ctx.cell.load();
             (
                 200,
@@ -377,32 +362,36 @@ fn route_path(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
             )
         }
         ("GET", "/stats") => {
-            ServerStats::bump(&ctx.stats.stats);
+            ServerStats::bump(&ctx.front.stats.stats);
             let snap = ctx.cell.load();
             (
                 200,
-                Body::Owned(ctx.stats.to_json(snap.generation(), ctx.cache.len())),
+                Body::Owned(
+                    ctx.front
+                        .stats
+                        .to_json(snap.generation(), ctx.front.cache.len()),
+                ),
             )
         }
         ("GET", "/metrics") => {
-            ServerStats::bump(&ctx.stats.metrics);
+            ServerStats::bump(&ctx.front.stats.metrics);
             let snap = ctx.cell.load();
             (
                 200,
                 Body::Text(
                     metrics::render_server(
-                        &ctx.stats,
+                        &ctx.front.stats,
                         snap.generation(),
                         snap.index().len() as u64,
-                        ctx.cache.len() as u64,
-                        ctx.cache.evictions(),
+                        ctx.front.cache.len() as u64,
+                        ctx.front.cache.evictions(),
                     ),
                     promtext::CONTENT_TYPE,
                 ),
             )
         }
         ("GET", "/corpus") => {
-            ServerStats::bump(&ctx.stats.corpus);
+            ServerStats::bump(&ctx.front.stats.corpus);
             let snap = ctx.cell.load();
             let generation = snap.generation();
             // Poison-tolerant: the slot only ever holds a complete
@@ -440,46 +429,23 @@ fn route_path(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
                 Err(e) => (503, Body::Owned(api::render_error(&e.to_string()))),
             }
         }
-        ("POST", "/query") => {
-            ServerStats::bump(&ctx.stats.query);
-            let t0 = Instant::now();
-            let response = handle_query(ctx, &req.body);
-            // Only answered queries feed the histogram — microsecond
-            // 400 rejections would otherwise drag p50/p95 down and
-            // mask real served-query latency.
-            if response.0 < 300 {
-                ctx.stats
-                    .latency
-                    .record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            response
-        }
-        ("POST", "/query_batch") => {
-            ServerStats::bump(&ctx.stats.query_batch);
-            let t0 = Instant::now();
-            let response = handle_batch(ctx, &req.body);
-            if response.0 < 300 {
-                ctx.stats
-                    .latency
-                    .record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-            }
-            response
-        }
+        ("POST", "/query") => handle_query(ctx, &req.body),
+        ("POST", "/query_batch") => handle_batch(ctx, &req.body),
         // The internal scatter-gather endpoints a coordinator fans out
         // to. They answer from the same snapshot as `/query` but ship
         // bit-exact candidate rows / reports instead of ranked JSON,
         // and are deliberately uncached — the coordinator caches merged
         // responses under the shard-generation vector.
         ("POST", "/shard_query") => {
-            ServerStats::bump(&ctx.stats.shard);
+            ServerStats::bump(&ctx.front.stats.shard);
             handle_shard_query(ctx, &req.body)
         }
         ("POST", "/shard_query_batch") => {
-            ServerStats::bump(&ctx.stats.shard);
+            ServerStats::bump(&ctx.front.stats.shard);
             handle_shard_batch(ctx, &req.body)
         }
         ("POST", "/shard_reports") => {
-            ServerStats::bump(&ctx.stats.shard);
+            ServerStats::bump(&ctx.front.stats.shard);
             handle_shard_reports(ctx, &req.body)
         }
         // Any other method on an endpoint that exists (HEAD, PUT,
@@ -493,167 +459,64 @@ fn route_path(ctx: &Ctx, req: &Request, path: &str) -> (u16, Body) {
     }
 }
 
-/// Close out `/query` / `/query_batch`: slow-query logging and the
-/// trace splice, both no-ops unless this request enabled tracing.
-fn finish(ctx: &Ctx, trace: &Trace, want_trace: bool, status: u16, body: Body) -> (u16, Body) {
-    conn::finish_traced(
-        &ctx.stats,
-        ctx.slow_query,
-        "sketch-serve",
-        trace,
-        want_trace,
-        status,
+fn handle_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
+    let snap = ctx.cell.load();
+    let generation = snap.generation();
+    ctx.front.serve(
+        Endpoint::Query,
         body,
+        generation,
+        // The parse hashes each key as it reads it; the selection below
+        // runs only on a cache miss.
+        |body, defaults| HashedRequest::parse_with(body, defaults, snap.query_config()),
+        |req, trace| {
+            let guard = trace.begin("build_query");
+            let sketch = req.body.sketch();
+            trace.end(guard);
+            let guard = trace.begin("execute");
+            let (results, plan) = engine::top_k_with_reports_traced(
+                snap.index(),
+                &sketch,
+                &req.params.to_options(),
+                req.params.alpha,
+                trace,
+            );
+            trace.end(guard);
+            ctx.front.stats.absorb_plan(&plan);
+            let guard = trace.begin("render");
+            let rendered = api::render_query_response(generation, &req.params, &results);
+            trace.end(guard);
+            (200, rendered, Some(generation))
+        },
     )
 }
 
-fn handle_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let raw = api::raw_fingerprint(body);
-    let snap = ctx.cell.load();
-    let mut trace = Trace::new(ctx.slow_query.is_some());
-    // A memo hit proves these exact bytes parsed to this canonical
-    // fingerprint (and trace flag) before — skip the parse when the
-    // answer is cached.
-    if let Some((fp, want_trace)) = ctx.memo_query.get(raw) {
-        if want_trace && !trace.is_enabled() {
-            trace = Trace::enabled();
-        }
-        let guard = trace.begin("cache_probe");
-        let cached = ctx.cache.get(&(fp, snap.generation()));
-        trace.end(guard);
-        if let Some(cached) = cached {
-            ServerStats::bump(&ctx.stats.cache_hits);
-            return finish(ctx, &trace, want_trace, 200, Body::Shared(cached));
-        }
-    } else if !trace.is_enabled() && api::wants_trace_hint(body) {
-        trace = Trace::enabled();
-    }
-    // The parse hashes each key as it reads it; the selection below
-    // runs only on a cache miss.
-    let guard = trace.begin("parse");
-    let parsed = HashedRequest::parse_with(body, &ctx.defaults, snap.query_config());
-    trace.end(guard);
-    let req = match parsed {
-        Ok(req) => req,
-        Err(msg) => {
-            return finish(
-                ctx,
-                &trace,
-                false,
-                400,
-                Body::Owned(api::render_error(&msg)),
-            )
-        }
-    };
-    if req.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
-    }
-    let fp = req.fingerprint();
-    ctx.memo_query.put(raw, (fp, req.trace));
-    let key = (fp, snap.generation());
-    let guard = trace.begin("cache_probe");
-    let cached = ctx.cache.get(&key);
-    trace.end(guard);
-    if let Some(cached) = cached {
-        ServerStats::bump(&ctx.stats.cache_hits);
-        return finish(ctx, &trace, req.trace, 200, Body::Shared(cached));
-    }
-    ServerStats::bump(&ctx.stats.cache_misses);
-    let guard = trace.begin("build_query");
-    let sketch = req.body.sketch();
-    trace.end(guard);
-    let guard = trace.begin("execute");
-    let (results, plan) = engine::top_k_with_reports_traced(
-        snap.index(),
-        &sketch,
-        &req.params.to_options(),
-        req.params.alpha,
-        &mut trace,
-    );
-    trace.end(guard);
-    ctx.stats.absorb_plan(&plan);
-    let guard = trace.begin("render");
-    let rendered = api::render_query_response(snap.generation(), &req.params, &results);
-    trace.end(guard);
-    // The cache stores only the untraced body: a traced request and its
-    // untraced twin must read back byte-identical result payloads.
-    ctx.cache.put(key, Arc::from(rendered.as_str()));
-    finish(ctx, &trace, req.trace, 200, Body::Owned(rendered))
-}
-
 fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
-    let raw = api::raw_fingerprint(body);
     let snap = ctx.cell.load();
-    let mut trace = Trace::new(ctx.slow_query.is_some());
-    if let Some((fp, batched, want_trace)) = ctx.memo_batch.get(raw) {
-        if want_trace && !trace.is_enabled() {
-            trace = Trace::enabled();
-        }
-        let guard = trace.begin("cache_probe");
-        let cached = ctx.cache.get(&(fp, snap.generation()));
-        trace.end(guard);
-        if let Some(cached) = cached {
-            ServerStats::bump(&ctx.stats.cache_hits);
-            ctx.stats
-                .batched_queries
-                .fetch_add(batched, Ordering::Relaxed);
-            return finish(ctx, &trace, want_trace, 200, Body::Shared(cached));
-        }
-    } else if !trace.is_enabled() && api::wants_trace_hint(body) {
-        trace = Trace::enabled();
-    }
-    let guard = trace.begin("parse");
-    let parsed = HashedBatch::parse_with(body, &ctx.defaults, snap.query_config());
-    trace.end(guard);
-    let req = match parsed {
-        Ok(req) => req,
-        Err(msg) => {
-            return finish(
-                ctx,
-                &trace,
-                false,
-                400,
-                Body::Owned(api::render_error(&msg)),
-            )
-        }
-    };
-    if req.trace && !trace.is_enabled() {
-        trace = Trace::enabled();
-    }
-    let fp = req.fingerprint();
-    let batched = u64::try_from(req.queries.len()).unwrap_or(u64::MAX);
-    ctx.memo_batch.put(raw, (fp, batched, req.trace));
-    let key = (fp, snap.generation());
-    let guard = trace.begin("cache_probe");
-    let cached = ctx.cache.get(&key);
-    trace.end(guard);
-    if let Some(cached) = cached {
-        ServerStats::bump(&ctx.stats.cache_hits);
-        ctx.stats
-            .batched_queries
-            .fetch_add(batched, Ordering::Relaxed);
-        return finish(ctx, &trace, req.trace, 200, Body::Shared(cached));
-    }
-    ServerStats::bump(&ctx.stats.cache_misses);
-    ctx.stats
-        .batched_queries
-        .fetch_add(batched, Ordering::Relaxed);
-    let guard = trace.begin("build_query");
-    let sketches: Vec<_> = req.queries.iter().map(HashedQuery::sketch).collect();
-    trace.end(guard);
-    let (answers, plan) = engine::top_k_batch_with_reports_traced(
-        snap.index(),
-        &sketches,
-        &req.params.to_options(),
-        req.params.alpha,
-        &mut trace,
-    );
-    ctx.stats.absorb_plan(&plan);
-    let guard = trace.begin("render");
-    let rendered = api::render_batch_response(snap.generation(), &req.params, &answers);
-    trace.end(guard);
-    ctx.cache.put(key, Arc::from(rendered.as_str()));
-    finish(ctx, &trace, req.trace, 200, Body::Owned(rendered))
+    let generation = snap.generation();
+    ctx.front.serve(
+        Endpoint::Batch,
+        body,
+        generation,
+        |body, defaults| HashedBatch::parse_with(body, defaults, snap.query_config()),
+        |req, trace| {
+            let guard = trace.begin("build_query");
+            let sketches: Vec<_> = req.queries.iter().map(HashedQuery::sketch).collect();
+            trace.end(guard);
+            let (answers, plan) = engine::top_k_batch_with_reports_traced(
+                snap.index(),
+                &sketches,
+                &req.params.to_options(),
+                req.params.alpha,
+                trace,
+            );
+            ctx.front.stats.absorb_plan(&plan);
+            let guard = trace.begin("render");
+            let rendered = api::render_batch_response(generation, &req.params, &answers);
+            trace.end(guard);
+            (200, rendered, Some(generation))
+        },
+    )
 }
 
 /// `POST /shard_query`: this worker's half of a scattered `/query` —
@@ -661,7 +524,7 @@ fn handle_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
 /// [`engine::shard_candidates`]), bit-exact on the wire.
 fn handle_shard_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
     let snap = ctx.cell.load();
-    let req = match HashedRequest::parse_with(body, &ctx.defaults, snap.query_config()) {
+    let req = match HashedRequest::parse_with(body, &ctx.front.defaults, snap.query_config()) {
         Ok(req) => req,
         Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
     };
@@ -681,7 +544,7 @@ fn handle_shard_query(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
 /// candidate-row list per query, all from one snapshot.
 fn handle_shard_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
     let snap = ctx.cell.load();
-    let req = match HashedBatch::parse_with(body, &ctx.defaults, snap.query_config()) {
+    let req = match HashedBatch::parse_with(body, &ctx.front.defaults, snap.query_config()) {
         Ok(req) => req,
         Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
     };
@@ -706,7 +569,8 @@ fn handle_shard_batch(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
 /// early termination avoids for everything else.
 fn handle_shard_reports(ctx: &Ctx, body: &[u8]) -> (u16, Body) {
     let snap = ctx.cell.load();
-    let (req, docs) = match api::parse_shard_reports(body, &ctx.defaults, snap.query_config()) {
+    let (req, docs) = match api::parse_shard_reports(body, &ctx.front.defaults, snap.query_config())
+    {
         Ok(parsed) => parsed,
         Err(msg) => return (400, Body::Owned(api::render_error(&msg))),
     };

@@ -13,7 +13,7 @@
 //! drops its `Arc`.
 
 use std::path::Path;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use correlation_sketches::{CorrelationSketch, SketchBuilder, SketchConfig};
 use sketch_index::SketchIndex;
@@ -80,7 +80,10 @@ impl IndexSnapshot {
     }
 }
 
-/// The swappable slot the workers read snapshots from.
+/// The swappable slot the workers read snapshots from. Its lock is
+/// poison-tolerant: the slot only ever holds a complete `Arc` (a load
+/// clones it, a store swaps it whole), so its state after a caught
+/// panic is still valid.
 pub struct SnapshotCell {
     slot: RwLock<Arc<IndexSnapshot>>,
 }
@@ -99,12 +102,12 @@ impl SnapshotCell {
     /// snapshot.
     #[must_use]
     pub fn load(&self) -> Arc<IndexSnapshot> {
-        Arc::clone(&self.slot.read().expect("snapshot lock is never poisoned"))
+        Arc::clone(&self.slot.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Atomically replace the served snapshot.
     pub fn store(&self, snapshot: Arc<IndexSnapshot>) {
-        *self.slot.write().expect("snapshot lock is never poisoned") = snapshot;
+        *self.slot.write().unwrap_or_else(PoisonError::into_inner) = snapshot;
     }
 }
 
